@@ -66,13 +66,12 @@ void BM_EngineCursorFetch(benchmark::State& state) {
   opts.k = k;
   size_t produced = 0;
   for (auto _ : state) {
-    auto id = engine.OpenCursor(t.db, t.query, {}, opts);
-    if (!id.ok()) {
-      state.SkipWithError(id.status().message().c_str());
+    auto cursor = engine.OpenCursor(t.db, t.query, {}, opts);
+    if (!cursor.ok()) {
+      state.SkipWithError(cursor.status().message().c_str());
       break;
     }
-    produced = engine.cursor(id.value())->Fetch(k).size();
-    engine.CloseCursor(id.value());
+    produced = cursor.value()->Fetch(k).size();
   }
   state.counters["k_produced"] = static_cast<double>(produced);
 }

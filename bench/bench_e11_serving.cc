@@ -1,9 +1,9 @@
 // E11 -- concurrent serving throughput: ServingEngine's worker pool
-// (DrainAll) at 1/2/4/8 workers vs the single-threaded Engine::StepAll
-// baseline, over a mixed workload of path + star + 4-cycle cursors
-// interleaved. Reported as items/sec of ranked results delivered;
-// cursor opening (plan + compile + preprocessing) is untimed, so the
-// numbers isolate the enumeration/scheduling path that concurrent
+// (DrainAll) at 1/2/4/8 workers vs the inline DrainAll/0 baseline (all
+// slices on the calling thread), over a mixed workload of path + star +
+// 4-cycle cursors interleaved. Reported as items/sec of ranked results
+// delivered; cursor opening (plan + compile + preprocessing) is untimed,
+// so the numbers isolate the enumeration/scheduling path that concurrent
 // serving actually parallelizes. Scaling requires hardware cores: on a
 // single-CPU host every configuration collapses to the baseline minus
 // scheduling overhead.
@@ -15,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "src/cycles/fourcycle.h"
-#include "src/engine/engine.h"
 #include "src/serving/serving_engine.h"
 
 namespace topkjoin::bench {
@@ -53,32 +52,6 @@ std::vector<Instance> MixedWorkload() {
   return instances;
 }
 
-void BM_StepAllSingleThread(benchmark::State& state) {
-  const std::vector<Instance> instances = MixedWorkload();
-  int64_t produced = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // cursor opening (plan/compile/preprocess)
-    auto engine = std::make_unique<Engine>();
-    for (const Instance& t : instances) {
-      auto id = engine->OpenCursor(t.db, t.query);
-      if (!id.ok()) {
-        state.SkipWithError(id.status().message().c_str());
-        return;
-      }
-    }
-    state.ResumeTiming();
-    while (true) {
-      const auto step = engine->StepAll(kSlice);
-      if (step.empty()) break;
-      produced += static_cast<int64_t>(step.size());
-    }
-    state.PauseTiming();  // teardown outside the timed region too
-    engine.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(produced);
-}
-
 void BM_ServingDrainAll(benchmark::State& state) {
   const std::vector<Instance> instances = MixedWorkload();
   ServingOptions options;
@@ -107,8 +80,6 @@ void BM_ServingDrainAll(benchmark::State& state) {
   state.SetItemsProcessed(produced);
 }
 
-BENCHMARK(BM_StepAllSingleThread)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 BENCHMARK(BM_ServingDrainAll)
     ->Arg(0)  // inline: scheduling overhead without threads
     ->Arg(1)

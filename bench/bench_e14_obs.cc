@@ -2,7 +2,7 @@
 //
 // Drains ranked prefixes of the path4/SUM workload through the Take2
 // pooled engine two ways: the raw pipeline, and the same pipeline
-// wrapped in InstrumentedIterator (exactly what CompilePlan installs
+// wrapped in InstrumentedIterator (exactly what NewEnumeration installs
 // in metrics-on builds). The difference is the wrapper's marginal
 // cost, which tools/check_bench_e14.py gates at < 5%.
 //

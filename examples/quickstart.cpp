@@ -5,6 +5,8 @@
 //
 //   cmake --build build && ./build/quickstart
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "src/data/database.h"
 #include "src/engine/engine.h"
@@ -57,12 +59,12 @@ int main() {
   // mid-enumeration without dropping or repeating results.
   ExecutionOptions opts;
   opts.k = 3;
-  auto id = engine.OpenCursor(db, q, {}, opts);
-  if (!id.ok()) {
-    std::printf("error: %s\n", id.status().message().c_str());
+  auto opened = engine.OpenCursor(db, q, {}, opts);
+  if (!opened.ok()) {
+    std::printf("error: %s\n", opened.status().message().c_str());
     return 1;
   }
-  Cursor* cursor = engine.cursor(id.value());
+  const std::unique_ptr<Cursor> cursor = std::move(opened).value();
   std::printf("\ncursor, top-3 in slices of 2:\n");
   while (!cursor->Done()) {
     for (const RankedResult& r : cursor->Fetch(2)) {
@@ -71,6 +73,5 @@ int main() {
     std::printf("  -- slice done: emitted %zu so far, state %s\n",
                 cursor->results_emitted(), CursorStateName(cursor->state()));
   }
-  engine.CloseCursor(id.value());
   return 0;
 }

@@ -1,6 +1,6 @@
 #include "src/anyk/anyk.h"
 
-#include "src/anyk/tree_pipeline.h"
+#include "src/anyk/artifact.h"
 #include "src/ranking/cost_model.h"
 
 namespace topkjoin {
@@ -55,7 +55,9 @@ std::unique_ptr<RankedIterator> MakeAnyK(const Database& db,
                                          const ConjunctiveQuery& query,
                                          AnyKAlgorithm algorithm,
                                          JoinStats* stats) {
-  return MakeTreeIterator<SumCost>(db, query, algorithm, stats);
+  const auto artifact =
+      MakeTreeArtifact<SumCost>(db, query, algorithm, stats);
+  return artifact == nullptr ? nullptr : artifact->NewStream();
 }
 
 }  // namespace topkjoin

@@ -1,7 +1,8 @@
-// Convenience factory: build a ranked-enumeration iterator (with its
-// owned T-DP state) for an acyclic full CQ under the SUM ranking
-// function. For other ranking dioids, instantiate Tdp<> and the
-// algorithm templates directly (see ranking/cost_model.h).
+// The any-k algorithm menu and the SUM-ranked one-shot factory MakeAnyK
+// for an acyclic full CQ. MakeAnyK builds a preprocessing artifact
+// (anyk/artifact.h) and returns its one stream; for other ranking
+// dioids, or to share one preprocessing pass across many streams, use
+// MakeTreeArtifact<CM> / MakeArtifact<CM> directly.
 #ifndef TOPKJOIN_ANYK_ANYK_H_
 #define TOPKJOIN_ANYK_ANYK_H_
 
@@ -42,8 +43,9 @@ const char* AnyKPartVariantName(AnyKPartVariant variant);
 AnyKAlgorithm AlgorithmForVariant(AnyKPartVariant variant);
 
 /// Builds the T-DP (full reducer + DP + candidate lists) and wraps the
-/// chosen algorithm. The query must be acyclic (CHECK-failed otherwise);
-/// preprocessing cost is recorded in `stats` when provided.
+/// chosen algorithm: MakeTreeArtifact<SumCost>(...)->NewStream(). The
+/// query must be acyclic (CHECK-failed otherwise); preprocessing cost is
+/// recorded in `stats` when provided.
 std::unique_ptr<RankedIterator> MakeAnyK(const Database& db,
                                          const ConjunctiveQuery& query,
                                          AnyKAlgorithm algorithm,

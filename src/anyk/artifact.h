@@ -1,23 +1,24 @@
-// Shared preprocessing artifacts: the expensive, immutable half of a
-// compiled ranked-enumeration pipeline, split from the cheap per-cursor
+// Preprocessing artifacts: the expensive, immutable half of a compiled
+// ranked-enumeration pipeline, split from the cheap per-stream
 // enumeration state so many concurrent enumerations (serving cursors)
 // share one preprocessing pass.
 //
-// A PreprocessingArtifact owns everything OpenCursor used to rebuild
-// per cursor: the T-DP structure (full-reducer output, groups, best
-// trees), materialized bag databases with their WeightMatrix
-// provenance, and -- for the batch baseline -- the sorted full output.
-// Artifacts are refcounted (shared_ptr) and handed out by the serving
-// layer's ArtifactCache keyed on (plan fingerprint, db identity, db
-// version); NewStream() mints a fresh enumeration in O(per-cursor
-// state): a TdpCursor, a frontier seed, and scratch buffers. Every
-// stream holds a shared_ptr back to its artifact, so in-flight cursors
-// survive cache eviction and db-version invalidation.
+// A PreprocessingArtifact owns the T-DP structure (full-reducer output,
+// groups, best trees), materialized bag databases with their
+// WeightMatrix provenance, and -- for the batch baseline -- the sorted
+// full output. Artifacts are refcounted (shared_ptr) and handed out by
+// the serving layer's ArtifactCache keyed on (plan fingerprint, db
+// identity, db version); NewStream() mints a fresh enumeration in
+// O(per-stream state): a TdpCursor, a frontier seed, and scratch
+// buffers. Every stream holds a shared_ptr back to its artifact, so
+// in-flight cursors survive cache eviction and db-version invalidation.
 //
-// This file is the artifact-shaped mirror of tree_pipeline.h's
-// (query, algorithm) dispatch; the executor builds artifacts and the
-// single-shot paths (MakeAnyK, MakeFourCycleAnyK) are one NewStream()
-// away.
+// This file is the only build path for ranked enumeration: MakeArtifact
+// holds the one (AnyKAlgorithm -> algorithm class x SortMode) table,
+// for acyclic queries and decomposed (bag) queries alike, and
+// RecordTdpBuild is the one place T-DP build metrics are recorded. The
+// executor builds artifacts, and the one-shot paths (MakeAnyK,
+// MakeFourCycleAnyK) are a build plus one NewStream().
 #ifndef TOPKJOIN_ANYK_ARTIFACT_H_
 #define TOPKJOIN_ANYK_ARTIFACT_H_
 
@@ -26,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -88,6 +90,28 @@ class PreprocessingArtifact
  protected:
   std::string label_;
 };
+
+/// Records one T-DP build: tdp.build_ns (since `build_start`),
+/// tdp.arena_bytes, tdp.groups, tdp.builds and
+/// anyk.preprocessing_builds. The only home of these metrics: every
+/// artifact that builds a T-DP calls it once per T-DP. It sits at
+/// artifact level, not in Tdp's constructor, so code that constructs a
+/// Tdp directly (reference replays, tests) is not counted as a build.
+template <typename CM>
+void RecordTdpBuild(const Tdp<CM>& tdp, FastClock::Ticks build_start) {
+  if constexpr (kMetricsEnabled) {
+    auto& registry = MetricsRegistry::Global();
+    registry.GetHistogram("tdp.build_ns")
+        ->RecordTicksAsNs(FastClock::Now() - build_start);
+    registry.GetHistogram("tdp.arena_bytes")->Record(tdp.ApproxBytes());
+    registry.GetHistogram("tdp.groups")->Record(tdp.NumGroups());
+    registry.GetCounter("tdp.builds")->Increment();
+    registry.GetCounter("anyk.preprocessing_builds")->Increment();
+  } else {
+    (void)tdp;
+    (void)build_start;
+  }
+}
 
 /// One enumeration over a shared tree artifact: the algorithm (with its
 /// private TdpCursor) plus the owning reference that keeps the T-DP
@@ -194,17 +218,7 @@ class TreeArtifact final : public PreprocessingArtifact {
  private:
   void Finish(AnyKAlgorithm algorithm) {
     label_ = AnyKAlgorithmName(algorithm);
-    if constexpr (kMetricsEnabled) {
-      // T-DP preprocessing metrics, recorded once per ARTIFACT (not per
-      // cursor -- that is the point of the split).
-      auto& registry = MetricsRegistry::Global();
-      registry.GetHistogram("tdp.build_ns")
-          ->RecordTicksAsNs(FastClock::Now() - build_start_);
-      registry.GetHistogram("tdp.arena_bytes")->Record(tdp_.ApproxBytes());
-      registry.GetHistogram("tdp.groups")->Record(tdp_.NumGroups());
-      registry.GetCounter("tdp.builds")->Increment();
-      registry.GetCounter("anyk.preprocessing_builds")->Increment();
-    }
+    RecordTdpBuild(tdp_, build_start_);
   }
 
   // Declaration order matters: dq_ (when present) backs query_, which
@@ -241,16 +255,18 @@ class BatchReplayIterator : public RankedIterator {
 
 /// BATCH baseline artifact: enumerate + sort ONCE, share the sorted
 /// output across all cursors. The T-DP is discarded after the drain.
+/// Constructed like TreeArtifact, so MakeArtifact builds either.
 template <typename CM>
 class BatchArtifact final : public PreprocessingArtifact {
  public:
   BatchArtifact(const Database& db, const ConjunctiveQuery& query,
-                JoinStats* stats) {
-    Build(db, query, stats, nullptr);
+                AnyKAlgorithm algorithm, SortMode mode, JoinStats* stats) {
+    Build(db, query, algorithm, mode, stats, nullptr);
   }
 
-  explicit BatchArtifact(DecomposedQuery dq, JoinStats* stats) {
-    Build(dq.db, dq.query, stats, &dq.bag_weights);
+  BatchArtifact(DecomposedQuery dq, AnyKAlgorithm algorithm, SortMode mode,
+                JoinStats* stats) {
+    Build(dq.db, dq.query, algorithm, mode, stats, &dq.bag_weights);
   }
 
   std::unique_ptr<RankedIterator> NewStream() const override {
@@ -262,19 +278,12 @@ class BatchArtifact final : public PreprocessingArtifact {
 
  private:
   void Build(const Database& db, const ConjunctiveQuery& query,
-             JoinStats* stats, const std::vector<WeightMatrix>* atom_weights) {
-    label_ = AnyKAlgorithmName(AnyKAlgorithm::kBatch);
+             AnyKAlgorithm algorithm, SortMode mode, JoinStats* stats,
+             const std::vector<WeightMatrix>* atom_weights) {
+    label_ = AnyKAlgorithmName(algorithm);
     const FastClock::Ticks build_start = FastClock::Now();
-    Tdp<CM> tdp(db, query, SortMode::kEager, stats, atom_weights);
-    if constexpr (kMetricsEnabled) {
-      auto& registry = MetricsRegistry::Global();
-      registry.GetHistogram("tdp.build_ns")
-          ->RecordTicksAsNs(FastClock::Now() - build_start);
-      registry.GetHistogram("tdp.arena_bytes")->Record(tdp.ApproxBytes());
-      registry.GetHistogram("tdp.groups")->Record(tdp.NumGroups());
-      registry.GetCounter("tdp.builds")->Increment();
-      registry.GetCounter("anyk.preprocessing_builds")->Increment();
-    }
+    Tdp<CM> tdp(db, query, mode, stats, atom_weights);
+    RecordTdpBuild(tdp, build_start);
     // Cooperative cancellation: a T-DP build that aborted mid-phase
     // must not be enumerated (its groups are partial), and the full
     // drain below -- potentially the whole join output -- polls per
@@ -344,67 +353,50 @@ class UnionArtifact final : public PreprocessingArtifact {
   std::vector<std::shared_ptr<const PreprocessingArtifact>> cases_;
 };
 
-/// Artifact-shaped mirror of MakeTreeIterator's (algorithm -> Algo x
-/// SortMode) dispatch, for an acyclic query.
-template <typename CM>
-std::shared_ptr<const PreprocessingArtifact> MakeTreeArtifact(
-    const Database& db, const ConjunctiveQuery& query, AnyKAlgorithm algorithm,
-    JoinStats* stats) {
+/// The one (AnyKAlgorithm -> algorithm class x SortMode) table, for
+/// both artifact sources: `source` is either (db, query) for an acyclic
+/// query over the caller's database (only read here), or a
+/// DecomposedQuery whose bag database and weight matrices the artifact
+/// takes ownership of. kBatch yields a BatchArtifact, every other
+/// algorithm a TreeArtifact. Returns nullptr for an unknown algorithm.
+template <typename CM, typename... Source>
+std::shared_ptr<const PreprocessingArtifact> MakeArtifact(
+    AnyKAlgorithm algorithm, JoinStats* stats, Source&&... source) {
+  const auto make = [&]<typename Algo>(SortMode mode)
+      -> std::shared_ptr<const PreprocessingArtifact> {
+    using Artifact =
+        std::conditional_t<std::is_same_v<Algo, BatchSorted<CM>>,
+                           BatchArtifact<CM>, TreeArtifact<CM, Algo>>;
+    return std::make_shared<Artifact>(std::forward<Source>(source)...,
+                                      algorithm, mode, stats);
+  };
   switch (algorithm) {
     case AnyKAlgorithm::kRec:
-      return std::make_shared<TreeArtifact<CM, AnyKRec<CM>>>(
-          db, query, algorithm, SortMode::kLazy, stats);
+      return make.template operator()<AnyKRec<CM>>(SortMode::kLazy);
     case AnyKAlgorithm::kPartEager:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kLawler>>>(
-          db, query, algorithm, SortMode::kEager, stats);
+      return make.template operator()<AnyKPart<CM, PartStrategy::kLawler>>(
+          SortMode::kEager);
     case AnyKAlgorithm::kPartLazy:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kLawler>>>(
-          db, query, algorithm, SortMode::kLazy, stats);
+      return make.template operator()<AnyKPart<CM, PartStrategy::kLawler>>(
+          SortMode::kLazy);
     case AnyKAlgorithm::kPartTake2:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kTake2>>>(
-          db, query, algorithm, SortMode::kLazy, stats);
+      return make.template operator()<AnyKPart<CM, PartStrategy::kTake2>>(
+          SortMode::kLazy);
     case AnyKAlgorithm::kPartMemoized:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kTake2>>>(
-          db, query, algorithm, SortMode::kQuickselect, stats);
+      return make.template operator()<AnyKPart<CM, PartStrategy::kTake2>>(
+          SortMode::kQuickselect);
     case AnyKAlgorithm::kBatch:
-      return std::make_shared<BatchArtifact<CM>>(db, query, stats);
+      return make.template operator()<BatchSorted<CM>>(SortMode::kEager);
   }
   return nullptr;
 }
 
-/// Same dispatch for a decomposed (cyclic) query; the artifact takes
-/// ownership of the bag database.
+/// MakeArtifact for an acyclic query over the caller's database.
 template <typename CM>
-std::shared_ptr<const PreprocessingArtifact> MakeBagArtifact(
-    DecomposedQuery dq, AnyKAlgorithm algorithm, JoinStats* stats) {
-  switch (algorithm) {
-    case AnyKAlgorithm::kRec:
-      return std::make_shared<TreeArtifact<CM, AnyKRec<CM>>>(
-          std::move(dq), algorithm, SortMode::kLazy, stats);
-    case AnyKAlgorithm::kPartEager:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kLawler>>>(
-          std::move(dq), algorithm, SortMode::kEager, stats);
-    case AnyKAlgorithm::kPartLazy:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kLawler>>>(
-          std::move(dq), algorithm, SortMode::kLazy, stats);
-    case AnyKAlgorithm::kPartTake2:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kTake2>>>(
-          std::move(dq), algorithm, SortMode::kLazy, stats);
-    case AnyKAlgorithm::kPartMemoized:
-      return std::make_shared<
-          TreeArtifact<CM, AnyKPart<CM, PartStrategy::kTake2>>>(
-          std::move(dq), algorithm, SortMode::kQuickselect, stats);
-    case AnyKAlgorithm::kBatch:
-      return std::make_shared<BatchArtifact<CM>>(std::move(dq), stats);
-  }
-  return nullptr;
+std::shared_ptr<const PreprocessingArtifact> MakeTreeArtifact(
+    const Database& db, const ConjunctiveQuery& query, AnyKAlgorithm algorithm,
+    JoinStats* stats) {
+  return MakeArtifact<CM>(algorithm, stats, db, query);
 }
 
 }  // namespace topkjoin

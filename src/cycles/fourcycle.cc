@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/anyk/tree_pipeline.h"
 #include "src/anyk/union_anyk.h"
 #include "src/ranking/cost_model.h"
 #include "src/data/hash_index.h"
@@ -393,14 +392,15 @@ namespace {
 
 // Each case plan owns its bag database; the per-case artifact keeps it
 // alive alongside the shared T-DP, and routes the bags' member weights
-// into the CM-typed T-DP.
+// into the CM-typed T-DP. nullptr when the algorithm is unknown.
 template <typename CM>
 std::shared_ptr<const PreprocessingArtifact> MakeCaseUnionArtifact(
     FourCyclePlans plans, AnyKAlgorithm algorithm, JoinStats* stats) {
   std::vector<std::shared_ptr<const PreprocessingArtifact>> cases;
   cases.reserve(plans.cases.size());
   for (DecomposedQuery& dq : plans.cases) {
-    cases.push_back(MakeBagArtifact<CM>(std::move(dq), algorithm, stats));
+    cases.push_back(MakeArtifact<CM>(algorithm, stats, std::move(dq)));
+    if (cases.back() == nullptr) return nullptr;
   }
   return std::make_shared<UnionArtifact>(std::move(cases));
 }

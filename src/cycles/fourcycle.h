@@ -98,7 +98,7 @@ std::unique_ptr<RankedIterator> MakeFourCycleAnyK(
 /// per non-empty case (bag materialization + T-DP), wrapped in a union
 /// artifact whose NewStream() merges fresh per-case streams. Cached by
 /// the serving layer so concurrent cursors share one bag-materialization
-/// pass.
+/// pass. nullptr for an unknown algorithm.
 std::shared_ptr<const PreprocessingArtifact> MakeFourCycleArtifact(
     const Database& db, const ConjunctiveQuery& query,
     AnyKAlgorithm algorithm, JoinStats* stats,

@@ -19,8 +19,9 @@
 // enumerations fairly (see engine.h and serving/serving_engine.h).
 //
 // Thread-safety contract: the mutating operations (Next, Fetch,
-// ExtendBudgets) must be externally serialized per cursor -- Engine does
-// so trivially (single-threaded), ServingEngine via striped locks. The
+// ExtendBudgets) must be externally serialized per cursor -- by the
+// owner of an Engine::OpenCursor cursor, by ServingEngine via per-cursor
+// locks. The
 // observers state()/Done()/results_emitted()/work_used() are safe to
 // call concurrently with a mutator from any thread (e.g. a stats
 // thread); they read atomic snapshots that are individually consistent
@@ -42,6 +43,11 @@
 namespace topkjoin {
 
 class DatabaseSnapshot;
+
+/// Handle for a cursor kept in an id table (serving/ServingEngine). Ids
+/// are never reused within one table, so a stale id maps to "closed",
+/// not to some other caller's cursor.
+using CursorId = uint64_t;
 
 /// Lifetime limits for one cursor. nullopt = unlimited.
 struct CursorOptions {

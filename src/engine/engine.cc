@@ -59,10 +59,18 @@ StatusOr<ExecutionResult> Engine::Execute(const Database& db,
 
   ExecutionResult result;
   result.plan = std::move(plan).value();
-  auto stream =
-      CompilePlan(view, query, result.plan, &result.preprocessing, trace);
-  if (!stream.ok()) return stream.status();
-  result.stream = std::move(stream).value();
+  // The same "compile+preprocess" phase ServingEngine::OpenCursor
+  // reports: the artifact build plus minting its stream.
+  const FastClock::Ticks compile_start =
+      trace != nullptr ? FastClock::Now() : 0;
+  auto artifact =
+      BuildArtifact(view, query, result.plan, &result.preprocessing);
+  if (!artifact.ok()) return artifact.status();
+  result.stream = NewEnumeration(*artifact.value(), result.plan, trace);
+  if (trace != nullptr) {
+    trace->AddPhase("compile+preprocess",
+                    FastClock::TicksToNs(FastClock::Now() - compile_start));
+  }
   result.trace = std::move(trace);
   result.snapshot = std::move(snapshot);
   return result;
@@ -77,38 +85,18 @@ StatusOr<QueryPlan> Engine::Explain(const Database& db,
                    estimators_.For(db, snapshot).get());
 }
 
-StatusOr<CursorId> Engine::OpenCursor(const Database& db,
-                                      const ConjunctiveQuery& query,
-                                      const RankingSpec& ranking,
-                                      const ExecutionOptions& opts,
-                                      CursorOptions cursor_options) {
+StatusOr<std::unique_ptr<Cursor>> Engine::OpenCursor(
+    const Database& db, const ConjunctiveQuery& query,
+    const RankingSpec& ranking, const ExecutionOptions& opts,
+    CursorOptions cursor_options) {
   auto result = Execute(db, query, ranking, opts);
   if (!result.ok()) return result.status();
   auto cursor = std::make_unique<Cursor>(
       std::move(result.value().stream),
       ResolveCursorOptions(cursor_options, opts));
+  cursor->set_trace(std::move(result.value().trace));
   cursor->set_snapshot(std::move(result.value().snapshot));
-  return cursors_.Insert(std::move(cursor));
-}
-
-Cursor* Engine::cursor(CursorId id) { return cursors_.Find(id); }
-
-Status Engine::CloseCursor(CursorId id) {
-  if (!cursors_.Erase(id)) {
-    return Status::NotFound("no open cursor with id " + std::to_string(id));
-  }
-  return Status::Ok();
-}
-
-std::vector<std::pair<CursorId, RankedResult>> Engine::StepAll(
-    size_t results_per_cursor) {
-  std::vector<std::pair<CursorId, RankedResult>> out;
-  cursors_.ForEach([&](CursorId id, Cursor* cursor) {
-    for (RankedResult& r : cursor->Fetch(results_per_cursor)) {
-      out.emplace_back(id, std::move(r));
-    }
-  });
-  return out;
+  return cursor;
 }
 
 }  // namespace topkjoin

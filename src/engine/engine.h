@@ -5,22 +5,20 @@
 //   auto result = engine.Execute(db, query, {CostModelKind::kSum}, {});
 //   while (auto r = result.value().stream->Next()) { ... }
 //
-// Execute = plan (engine/planner) + compile (engine/executor). The
-// session layer (OpenCursor / Fetch / StepAll / CloseCursor) wraps the
-// same pipelines in resumable, budgeted cursors (engine/cursor) so many
-// concurrent enumerations can be interleaved -- the first step toward
-// serving many ranked-enumeration requests at once.
+// Execute = snapshot + plan (engine/planner) + BuildArtifact +
+// NewEnumeration (engine/executor). OpenCursor wraps the same stream in
+// a resumable, budgeted Cursor (engine/cursor) that the caller owns.
+// Interleaving many cursors -- id tables, fair scheduling, worker
+// threads -- is serving/ServingEngine's job (num_workers = 0 runs its
+// slices inline on the calling thread).
 #ifndef TOPKJOIN_ENGINE_ENGINE_H_
 #define TOPKJOIN_ENGINE_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/anyk/ranked_iterator.h"
 #include "src/data/database.h"
 #include "src/engine/cursor.h"
-#include "src/engine/cursor_table.h"
 #include "src/engine/executor.h"
 #include "src/engine/planner.h"
 #include "src/join/join_stats.h"
@@ -57,12 +55,10 @@ struct ExecutionResult {
 CursorOptions ResolveCursorOptions(CursorOptions options,
                                    const ExecutionOptions& opts);
 
-/// The engine. Execute/Explain share only an internally-synchronized
-/// per-(db, epoch) estimator cache and are safe to call from many
-/// threads at once -- each call pins its own database snapshot, so
-/// concurrent Database::ApplyDelta is fine; OpenCursor/CloseCursor/
-/// StepAll maintain a CursorTable and are NOT thread-safe -- use
-/// serving/ServingEngine for concurrent serving.
+/// The engine. Stateless apart from an internally-synchronized
+/// per-(db, epoch) estimator cache, so every method is safe to call
+/// from many threads at once -- each call pins its own database
+/// snapshot, so concurrent Database::ApplyDelta is fine too.
 class Engine {
  public:
   Engine() = default;
@@ -81,31 +77,16 @@ class Engine {
                               const RankingSpec& ranking = {},
                               const ExecutionOptions& opts = {}) const;
 
-  /// Opens a budgeted, resumable cursor over the query's ranked stream.
-  /// When `cursor_options` has no result budget and opts.k is set, k is
-  /// adopted as the result budget.
-  StatusOr<CursorId> OpenCursor(const Database& db,
-                                const ConjunctiveQuery& query,
-                                const RankingSpec& ranking = {},
-                                const ExecutionOptions& opts = {},
-                                CursorOptions cursor_options = {});
-
-  /// The cursor behind an id; nullptr when closed/unknown.
-  Cursor* cursor(CursorId id);
-
-  Status CloseCursor(CursorId id);
-  size_t NumOpenCursors() const { return cursors_.NumCursors(); }
-
-  /// Round-robin scheduler step: pulls up to `results_per_cursor`
-  /// results from every open cursor that is still active, in cursor-id
-  /// order. Returns (cursor, result) pairs in the order produced.
-  /// Cursors that exhaust or hit budgets simply yield fewer results;
-  /// they stay open until closed.
-  std::vector<std::pair<CursorId, RankedResult>> StepAll(
-      size_t results_per_cursor);
+  /// Execute, wrapped in a budgeted, resumable cursor the caller owns.
+  /// The cursor carries its options resolved against opts (see
+  /// ResolveCursorOptions: opts.k becomes the result budget when none
+  /// is set), the execution's trace, and its pinned snapshot.
+  StatusOr<std::unique_ptr<Cursor>> OpenCursor(
+      const Database& db, const ConjunctiveQuery& query,
+      const RankingSpec& ranking = {}, const ExecutionOptions& opts = {},
+      CursorOptions cursor_options = {});
 
  private:
-  CursorTable cursors_;
   /// One estimator per (db, version), shared by Execute and Explain so
   /// repeated queries stop re-sampling every relation. Mutable: the
   /// cache is internally synchronized and Explain stays const.

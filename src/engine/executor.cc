@@ -20,22 +20,14 @@ namespace {
 StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifactInner(
     const Database& db, const ConjunctiveQuery& query, const QueryPlan& plan,
     JoinStats* stats) {
-  const auto checked =
-      [](std::shared_ptr<const PreprocessingArtifact> artifact)
-      -> StatusOr<std::shared_ptr<const PreprocessingArtifact>> {
-    const Status aborted = ExecContext::AbortStatus("preprocessing");
-    if (!aborted.ok()) return aborted;
-    return artifact;
-  };
+  std::shared_ptr<const PreprocessingArtifact> artifact;
   switch (plan.strategy) {
     case PlanStrategy::kAnyKDirect:
-    case PlanStrategy::kBatchSort: {
-      auto artifact = WithCostModel(plan.ranking.model, [&]<typename CM>() {
+    case PlanStrategy::kBatchSort:
+      artifact = WithCostModel(plan.ranking.model, [&]<typename CM>() {
         return MakeTreeArtifact<CM>(db, query, plan.algorithm, stats);
       });
-      if (artifact == nullptr) return Status::Error("unknown algorithm");
-      return checked(std::move(artifact));
-    }
+      break;
     // Decomposed strategies instantiate the bag artifact per dioid, the
     // same way the acyclic path does: the bags' per-tuple member-weight
     // sequences (see query/decomposition.h) let every cost model fold
@@ -48,24 +40,31 @@ StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifactInner(
           MaterializeGrouping(db, query, *plan.grouping, stats);
       // Check between the phases too: a bag materialization that
       // aborted must not feed a (garbage) T-DP build.
-      {
-        const Status aborted = ExecContext::AbortStatus("preprocessing");
-        if (!aborted.ok()) return aborted;
+      if (Status aborted = ExecContext::AbortStatus("preprocessing");
+          !aborted.ok()) {
+        return aborted;
       }
-      return checked(WithCostModel(
-          plan.ranking.model,
-          [&]<typename CM>() -> std::shared_ptr<const PreprocessingArtifact> {
-            return MakeBagArtifact<CM>(std::move(dq), plan.algorithm, stats);
-          }));
+      artifact = WithCostModel(plan.ranking.model, [&]<typename CM>() {
+        return MakeArtifact<CM>(plan.algorithm, stats, std::move(dq));
+      });
+      break;
     }
     case PlanStrategy::kUnionCases:
       // The estimator-chosen heavy/light threshold rides in the plan
       // (0 = static sqrt(n) fallback, e.g. hand-built plans).
-      return checked(MakeFourCycleArtifact(db, query, plan.algorithm, stats,
-                                           plan.ranking.model,
-                                           plan.fourcycle_threshold));
+      artifact = MakeFourCycleArtifact(db, query, plan.algorithm, stats,
+                                       plan.ranking.model,
+                                       plan.fourcycle_threshold);
+      break;
   }
-  return Status::Error("unknown plan strategy");
+  if (Status aborted = ExecContext::AbortStatus("preprocessing");
+      !aborted.ok()) {
+    return aborted;
+  }
+  if (artifact == nullptr) {
+    return Status::Error("unknown plan strategy or algorithm");
+  }
+  return artifact;
 }
 
 }  // namespace
@@ -100,40 +99,6 @@ std::unique_ptr<RankedIterator> NewEnumeration(
   }
   return std::make_unique<InstrumentedIterator>(std::move(inner),
                                                 std::move(trace));
-}
-
-StatusOr<std::unique_ptr<RankedIterator>> CompilePlan(
-    const Database& db, const ConjunctiveQuery& query, const QueryPlan& plan,
-    JoinStats* stats, std::shared_ptr<QueryTrace> trace) {
-  // Skip even the clock reads when nothing would consume them: a
-  // metrics-off build with no trace requested compiles and enumerates
-  // exactly the pre-observability pipeline.
-  if (!kMetricsEnabled && trace == nullptr) {
-    auto artifact = BuildArtifactInner(db, query, plan, stats);
-    if (!artifact.ok()) return artifact.status();
-    return std::move(artifact).value()->NewStream();
-  }
-
-  const FastClock::Ticks start = FastClock::Now();
-  auto artifact = BuildArtifactInner(db, query, plan, stats);
-  if (!artifact.ok()) return artifact.status();
-  auto inner = std::move(artifact).value()->NewStream();
-  const uint64_t compile_ns = FastClock::TicksToNs(FastClock::Now() - start);
-  if constexpr (kMetricsEnabled) {
-    auto& registry = MetricsRegistry::Global();
-    registry.GetHistogram("executor.compile_ns")->Record(compile_ns);
-    registry.GetCounter("executor.pipelines")->Increment();
-  }
-  if (trace != nullptr) {
-    // Covers preprocessing too: BuildArtifactInner pays the full
-    // reducer / bag materialization / T-DP build before returning.
-    trace->AddPhase("compile+preprocess", compile_ns);
-    trace->strategy = std::string(PlanStrategyName(plan.strategy)) + "/" +
-                      AnyKAlgorithmName(plan.algorithm);
-  }
-  return StatusOr<std::unique_ptr<RankedIterator>>(
-      std::make_unique<InstrumentedIterator>(std::move(inner),
-                                             std::move(trace)));
 }
 
 }  // namespace topkjoin

@@ -4,12 +4,15 @@
 // bag decompositions, the 4-cycle union); routing the top-k middleware
 // operators (src/topk/) through the same interface is a ROADMAP item.
 //
-// The executor owns whatever the pipeline needs to stay alive --
-// materialized bag databases for decomposed plans live inside holder
-// iterators, exactly like cycles/fourcycle.cc does for its case plans.
-// Unlike MakeAnyK (SUM only), the direct acyclic path is instantiated
+// Compilation is two calls. BuildArtifact pays the expensive, shareable
+// half (full reducer, bag materialization, T-DP build) once and returns
+// an immutable PreprocessingArtifact that owns whatever the pipeline
+// needs to stay alive, materialized bag databases included.
+// NewEnumeration then mints the cheap per-cursor stream over it. One-shot
+// callers (Engine::Execute) call both back to back; the serving layer
+// caches the artifact in between. Every plan strategy is instantiated
 // per cost-model policy, so MAX/PROD/LEX rankings run through the same
-// pipeline.
+// pipelines as SUM.
 #ifndef TOPKJOIN_ENGINE_EXECUTOR_H_
 #define TOPKJOIN_ENGINE_EXECUTOR_H_
 
@@ -31,8 +34,10 @@ namespace topkjoin {
 /// PreprocessingArtifact. The artifact owns a copy of `query` (and any
 /// materialized bag databases), so it does not retain `db`, `query`, or
 /// `stats` -- it may outlive all three, and many concurrent
-/// enumerations may share it (see anyk/artifact.h). Build time is
-/// recorded in the executor.compile_ns histogram.
+/// enumerations may share it (see anyk/artifact.h). Honors the caller's
+/// ExecContext scope: a cancelled or past-deadline build is discarded
+/// and reported as a typed error, never returned half-built. Build time
+/// is recorded in the executor.compile_ns histogram.
 StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifact(
     const Database& db, const ConjunctiveQuery& query, const QueryPlan& plan,
     JoinStats* stats = nullptr);
@@ -49,14 +54,6 @@ StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifact(
 std::unique_ptr<RankedIterator> NewEnumeration(
     const PreprocessingArtifact& artifact, const QueryPlan& plan,
     std::shared_ptr<QueryTrace> trace = nullptr);
-
-/// One-shot convenience: BuildArtifact + NewEnumeration, with the
-/// combined time recorded as the trace's "compile+preprocess" phase.
-/// Single-use paths (bare Engine::Execute, tests) compile through here;
-/// the serving layer splits the two halves around its artifact cache.
-StatusOr<std::unique_ptr<RankedIterator>> CompilePlan(
-    const Database& db, const ConjunctiveQuery& query, const QueryPlan& plan,
-    JoinStats* stats = nullptr, std::shared_ptr<QueryTrace> trace = nullptr);
 
 }  // namespace topkjoin
 

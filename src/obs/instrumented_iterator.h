@@ -1,7 +1,8 @@
 // RankedIterator wrapper that records enumeration metrics and feeds
-// the optional QueryTrace. CompilePlan wraps every pipeline with this
-// when metrics are compiled in (or a trace was requested), so both
-// Engine::Execute streams and serving cursors report identically.
+// the optional QueryTrace. NewEnumeration (engine/executor.h) wraps
+// every stream with this when metrics are compiled in (or a trace was
+// requested), so Engine::Execute streams and serving cursors report
+// identically.
 //
 // Overhead discipline: the per-Next cost must stay inside the <5%
 // budget bench_e14 gates, so nothing on the Next path touches a

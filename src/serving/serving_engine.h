@@ -1,8 +1,8 @@
 // ServingEngine: thread-safe concurrent serving on top of the engine.
 //
-// The single-threaded Engine session layer (engine.h) interleaves many
-// enumerations from one thread via StepAll. This layer serves them from
-// a fixed pool of worker threads instead:
+// Engine (engine.h) hands out one caller-owned cursor per query. This
+// layer keeps many cursors under ids and serves their slices from a
+// fixed pool of worker threads (or inline, with num_workers = 0):
 //
 //   * a sharded, mutex-protected cursor table (striped locks keyed by
 //     CursorId) gives per-cursor serialization with cross-cursor
@@ -207,11 +207,11 @@ class ServingEngine {
   using FetchCallback = std::function<void(CursorId, StatusOr<FetchOutcome>)>;
   void SubmitFetch(CursorId id, size_t max_results, FetchCallback callback);
 
-  /// The concurrent replacement for Engine::StepAll: admits one
-  /// `results_per_slice`-sized slice per open cursor into the queue (in
-  /// id order), each slice re-enqueueing at the tail while its cursor
-  /// stays active and its session has budget. Blocks until no cursor can
-  /// make progress; returns the per-cursor streams, each in rank order.
+  /// Round-robin scheduler: admits one `results_per_slice`-sized slice
+  /// per open cursor into the queue (in id order), each slice
+  /// re-enqueueing at the tail while its cursor stays active and its
+  /// session has budget. Blocks until no cursor can make progress;
+  /// returns the per-cursor streams, each in rank order.
   /// Cursors opened concurrently with the drain are not admitted.
   std::map<CursorId, std::vector<RankedResult>> DrainAll(
       size_t results_per_slice);

@@ -1,5 +1,5 @@
-// A sharded, mutex-protected cursor table: the concurrent counterpart of
-// the Engine's single-threaded CursorTable.
+// A sharded, mutex-protected cursor table: id -> Cursor ownership for
+// the serving layer.
 //
 // Cursors are spread over a fixed number of lock stripes keyed by
 // CursorId (ids are allocated round-robin from one atomic counter, so
@@ -20,7 +20,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/engine/cursor_table.h"
+#include "src/engine/cursor.h"
 #include "src/serving/session.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"

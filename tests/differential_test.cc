@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -370,34 +371,51 @@ TEST(DifferentialTest, RandomQueriesMatchBruteForceOracleAcrossDioids) {
 
 // The planner's k hint changes the chosen algorithm (any-k variant vs
 // batch-then-sort); none of them may change the stream's content. Pin a
-// smaller sweep across forced algorithms (acyclic and cyclic alike).
+// smaller sweep of every forced algorithm under every dioid, on direct,
+// batch, bag and union plans: each cell instantiates its own artifact
+// class through the one (algorithm -> class x SortMode) table in
+// anyk/artifact.h, so the sweep checks that table cell by cell.
 TEST(DifferentialTest, AllAlgorithmsAgreeAcrossStrategies) {
   constexpr size_t kNumQueries = 40;
   size_t tested_acyclic = 0;
   size_t tested_cyclic = 0;
+  std::set<PlanStrategy> strategies;
   for (size_t q = 0; q < kNumQueries; ++q) {
     const uint64_t seed = 977 + q;
     Rng rng(seed);
     const RandomCase c = MakeRandomCase(rng);
     IsAcyclic(c.query) ? ++tested_acyclic : ++tested_cyclic;
-    const auto want = BruteForce<SumCost>(c.db, c.query);
-    for (const AnyKAlgorithm algorithm :
-         {AnyKAlgorithm::kRec, AnyKAlgorithm::kPartEager,
-          AnyKAlgorithm::kPartLazy, AnyKAlgorithm::kPartTake2,
-          AnyKAlgorithm::kPartMemoized, AnyKAlgorithm::kBatch}) {
-      Engine engine;
-      ExecutionOptions opts;
-      opts.force_algorithm = algorithm;
-      auto result = engine.Execute(c.db, c.query, {}, opts);
-      ASSERT_TRUE(result.ok());
-      ExpectMatchesOracle(Drain(result.value().stream.get()), want,
-                          "algorithm " +
-                              std::string(AnyKAlgorithmName(algorithm)) +
-                              " on seed=" + std::to_string(seed));
+    for (const CostModelKind kind :
+         {CostModelKind::kSum, CostModelKind::kMax, CostModelKind::kProd,
+          CostModelKind::kLex}) {
+      const auto want = WithCostModel(kind, [&]<typename CM>() {
+        return BruteForce<CM>(c.db, c.query);
+      });
+      RankingSpec ranking;
+      ranking.model = kind;
+      for (const AnyKAlgorithm algorithm :
+           {AnyKAlgorithm::kRec, AnyKAlgorithm::kPartEager,
+            AnyKAlgorithm::kPartLazy, AnyKAlgorithm::kPartTake2,
+            AnyKAlgorithm::kPartMemoized, AnyKAlgorithm::kBatch}) {
+        const std::string label =
+            "algorithm " + std::string(AnyKAlgorithmName(algorithm)) + " [" +
+            CostModelName(kind) + "] on seed=" + std::to_string(seed);
+        Engine engine;
+        ExecutionOptions opts;
+        opts.force_algorithm = algorithm;
+        auto result = engine.Execute(c.db, c.query, ranking, opts);
+        ASSERT_TRUE(result.ok()) << label << ": " << result.status().message();
+        strategies.insert(result.value().plan.strategy);
+        ExpectMatchesOracle(Drain(result.value().stream.get()), want, label);
+      }
     }
   }
   EXPECT_GE(tested_acyclic, 10u);
   EXPECT_GE(tested_cyclic, 3u);
+  EXPECT_EQ(strategies,
+            (std::set<PlanStrategy>{
+                PlanStrategy::kAnyKDirect, PlanStrategy::kBatchSort,
+                PlanStrategy::kDecompose, PlanStrategy::kUnionCases}));
 }
 
 // The four ANYK-PART successor variants share one candidate-evaluation

@@ -1,10 +1,9 @@
 // Tests for engine/: planner routing and heuristics, executor
 // correctness against direct MakeAnyK / batch-sort ground truth on the
 // paper's path, star, triangle, and 4-cycle queries, and the resumable
-// budgeted cursor / session layer.
+// budgeted cursors Engine::OpenCursor hands out.
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -168,17 +167,18 @@ TEST(PlannerTest, PlansEveryDioidOnCyclicQueries) {
 }
 
 TEST(PlannerTest, HandBuiltNonSumDecomposedPlansCompileAndStayMonotone) {
-  // CompilePlan is public: hand-built non-SUM decomposed plans must
-  // instantiate the bag pipeline in the requested dioid (the bags'
+  // BuildArtifact is public: hand-built non-SUM decomposed plans must
+  // instantiate the bag artifact in the requested dioid (the bags'
   // member-weight sequences make that exact, see query/decomposition.h).
   Instance t = MakeTriangleInstance(10, 4, 1);
   QueryPlan decompose;
   decompose.strategy = PlanStrategy::kDecompose;
   decompose.ranking.model = CostModelKind::kMax;
   decompose.grouping = FindAcyclicGrouping(t.query);
-  auto stream = CompilePlan(t.db, t.query, decompose);
-  ASSERT_TRUE(stream.ok());
-  const auto results = Drain(stream.value().get());
+  auto artifact = BuildArtifact(t.db, t.query, decompose);
+  ASSERT_TRUE(artifact.ok());
+  const auto results =
+      Drain(NewEnumeration(*artifact.value(), decompose).get());
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_LE(results[i - 1].cost, results[i].cost + 1e-12);
   }
@@ -192,7 +192,7 @@ TEST(PlannerTest, HandBuiltNonSumDecomposedPlansCompileAndStayMonotone) {
   QueryPlan union_cases;
   union_cases.strategy = PlanStrategy::kUnionCases;
   union_cases.ranking.model = CostModelKind::kProd;
-  EXPECT_TRUE(CompilePlan(c.db, c.query, union_cases).ok());
+  EXPECT_TRUE(BuildArtifact(c.db, c.query, union_cases).ok());
 }
 
 TEST(PlannerTest, PlanDebugStringMentionsStrategy) {
@@ -363,9 +363,9 @@ TEST(CursorTest, ResumeMidEnumerationDropsNothing) {
   ASSERT_GT(want.size(), 10u);
 
   Engine engine;
-  auto id = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   ASSERT_NE(cursor, nullptr);
 
   // Pull in ragged slices; concatenation must equal the ground truth
@@ -388,9 +388,9 @@ TEST(CursorTest, ResultBudgetStopsAndExtends) {
   Engine engine;
   CursorOptions limits;
   limits.result_budget = 4;
-  auto id = engine.OpenCursor(t.db, t.query, {}, {}, limits);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, {}, limits);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
 
   EXPECT_EQ(cursor->Fetch(100).size(), 4u);
   EXPECT_EQ(cursor->state(), CursorState::kResultBudgetHit);
@@ -414,17 +414,17 @@ TEST(CursorTest, WorkBudgetStops) {
   // calibrate the budget from an unbudgeted reference cursor: the exact
   // cost of the first two pulls. The pipeline is deterministic, so a
   // budget of exactly that cost stops the cursor after result two.
-  auto ref_id = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(ref_id.ok());
-  Cursor* ref = engine.cursor(ref_id.value());
+  auto ref_opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(ref_opened.ok());
+  Cursor* ref = ref_opened.value().get();
   ASSERT_EQ(ref->Fetch(2).size(), 2u);
   const size_t two_pull_work = ref->work_used();
 
   CursorOptions limits;
   limits.work_budget = two_pull_work;
-  auto id = engine.OpenCursor(t.db, t.query, {}, {}, limits);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, {}, limits);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   // The budget is checked before each pull and charged after it, so the
   // cursor overshoots by at most one pull: two results, then a stop.
   EXPECT_EQ(cursor->Fetch(100).size(), 2u);
@@ -438,9 +438,9 @@ TEST(CursorTest, OptsKBecomesResultBudget) {
   Engine engine;
   ExecutionOptions opts;
   opts.k = 7;
-  auto id = engine.OpenCursor(t.db, t.query, {}, opts);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, opts);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   EXPECT_EQ(cursor->Fetch(1000).size(), 7u);
   EXPECT_EQ(cursor->state(), CursorState::kResultBudgetHit);
 }
@@ -452,9 +452,9 @@ TEST(CursorTest, FetchZeroIsANoOpInEveryState) {
   Engine engine;
 
   // Active cursor: nothing is consumed.
-  auto id = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   EXPECT_TRUE(cursor->Fetch(0).empty());
   EXPECT_EQ(cursor->state(), CursorState::kActive);
   EXPECT_EQ(cursor->work_used(), 0u);
@@ -477,7 +477,7 @@ TEST(CursorTest, FetchZeroIsANoOpInEveryState) {
   limits.result_budget = 2;
   auto budgeted = engine.OpenCursor(t.db, t.query, {}, {}, limits);
   ASSERT_TRUE(budgeted.ok());
-  Cursor* stopped = engine.cursor(budgeted.value());
+  Cursor* stopped = budgeted.value().get();
   EXPECT_EQ(stopped->Fetch(100).size(), 2u);
   ASSERT_EQ(stopped->state(), CursorState::kResultBudgetHit);
   EXPECT_TRUE(stopped->Fetch(0).empty());
@@ -492,9 +492,9 @@ TEST(CursorTest, ExtendBudgetsZeroPreservesState) {
 
   CursorOptions limits;
   limits.result_budget = 3;
-  auto id = engine.OpenCursor(t.db, t.query, {}, {}, limits);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, {}, limits);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   EXPECT_EQ(cursor->Fetch(100).size(), 3u);
   ASSERT_EQ(cursor->state(), CursorState::kResultBudgetHit);
 
@@ -516,9 +516,9 @@ TEST(CursorTest, ExtendBudgetsZeroPreservesState) {
   // Work-budget stops behave the same way. Work is charged in measured
   // pipeline units, so calibrate the budget and the resume grant from an
   // unbudgeted reference cursor (the pipeline is deterministic).
-  auto wref_id = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(wref_id.ok());
-  Cursor* wref = engine.cursor(wref_id.value());
+  auto wref_opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(wref_opened.ok());
+  Cursor* wref = wref_opened.value().get();
   ASSERT_EQ(wref->Fetch(2).size(), 2u);
   const size_t two_pull_work = wref->work_used();
   ASSERT_EQ(wref->Fetch(1).size(), 1u);
@@ -526,9 +526,9 @@ TEST(CursorTest, ExtendBudgetsZeroPreservesState) {
 
   CursorOptions work_limits;
   work_limits.work_budget = two_pull_work;
-  auto wid = engine.OpenCursor(t.db, t.query, {}, {}, work_limits);
-  ASSERT_TRUE(wid.ok());
-  Cursor* worker = engine.cursor(wid.value());
+  auto w_opened = engine.OpenCursor(t.db, t.query, {}, {}, work_limits);
+  ASSERT_TRUE(w_opened.ok());
+  Cursor* worker = w_opened.value().get();
   EXPECT_EQ(worker->Fetch(100).size(), 2u);
   ASSERT_EQ(worker->state(), CursorState::kWorkBudgetHit);
   worker->ExtendBudgets(0, 0);
@@ -538,9 +538,9 @@ TEST(CursorTest, ExtendBudgetsZeroPreservesState) {
   EXPECT_EQ(worker->Fetch(100).size(), 1u);
 
   // Exhaustion is final: budget grants change nothing.
-  auto did = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(did.ok());
-  Cursor* drained = engine.cursor(did.value());
+  auto d_opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(d_opened.ok());
+  Cursor* drained = d_opened.value().get();
   drained->Fetch(SIZE_MAX);
   ASSERT_EQ(drained->state(), CursorState::kExhausted);
   drained->ExtendBudgets(1000, 1000);
@@ -548,78 +548,43 @@ TEST(CursorTest, ExtendBudgetsZeroPreservesState) {
   EXPECT_TRUE(drained->Fetch(100).empty());
 }
 
-// ---------------------------------------------------------- cursor table
-
-TEST(CursorTableTest, InsertFindEraseAndIdOrder) {
-  Instance t = MakePathInstance(2, 20, 4, 3);
-  CursorTable table;
-  auto make_cursor = [&] {
-    Engine engine;
-    auto result = engine.Execute(t.db, t.query);
-    EXPECT_TRUE(result.ok());
-    return std::make_unique<Cursor>(std::move(result.value().stream),
-                                    CursorOptions{});
-  };
-
-  const CursorId a = table.Insert(make_cursor());
-  const CursorId b = table.Insert(make_cursor());
-  EXPECT_LT(a, b);  // strictly increasing, never reused
-  EXPECT_EQ(table.NumCursors(), 2u);
-  EXPECT_NE(table.Find(a), nullptr);
-  EXPECT_EQ(table.Find(999), nullptr);
-
-  // Caller-allocated ids (the sharded table's path) coexist.
-  table.InsertWithId(1000, make_cursor());
-  EXPECT_EQ(table.Ids(), (std::vector<CursorId>{a, b, 1000}));
-
-  std::vector<CursorId> visited;
-  table.ForEach([&](CursorId id, Cursor* cursor) {
-    EXPECT_NE(cursor, nullptr);
-    visited.push_back(id);
-  });
-  EXPECT_EQ(visited, table.Ids());
-
-  EXPECT_TRUE(table.Erase(b));
-  EXPECT_FALSE(table.Erase(b));
-  EXPECT_EQ(table.Find(b), nullptr);
-  EXPECT_EQ(table.NumCursors(), 2u);
-}
-
 TEST(EngineSessionTest, InterleavesManyCursors) {
   Engine engine;
   std::vector<Instance> instances;
-  std::vector<CursorId> ids;
+  std::vector<std::unique_ptr<Cursor>> cursors;
   for (uint64_t seed = 0; seed < 3; ++seed) {
     instances.push_back(MakePathInstance(3, 30, 4, seed));
   }
   for (const Instance& t : instances) {
-    auto id = engine.OpenCursor(t.db, t.query);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
+    auto opened = engine.OpenCursor(t.db, t.query);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_NE(opened.value(), nullptr);
+    cursors.push_back(std::move(opened).value());
   }
-  EXPECT_EQ(engine.NumOpenCursors(), 3u);
 
-  // Round-robin until everything drains; per-cursor streams must stay
-  // rank-correct under interleaving.
-  std::map<CursorId, std::vector<double>> per_cursor;
-  while (true) {
-    const auto step = engine.StepAll(/*results_per_cursor=*/2);
-    if (step.empty()) break;
-    for (const auto& [id, r] : step) per_cursor[id].push_back(r.cost);
+  // Round-robin until everything drains; cursors opened on one engine
+  // share its estimator cache but nothing else, so per-cursor streams
+  // must stay rank-correct under interleaving.
+  std::vector<std::vector<double>> per_cursor(cursors.size());
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (size_t i = 0; i < cursors.size(); ++i) {
+      for (const RankedResult& r : cursors[i]->Fetch(2)) {
+        per_cursor[i].push_back(r.cost);
+        progressed = true;
+      }
+    }
   }
-  for (size_t i = 0; i < ids.size(); ++i) {
+  for (size_t i = 0; i < cursors.size(); ++i) {
+    EXPECT_EQ(cursors[i]->state(), CursorState::kExhausted) << "cursor " << i;
     const auto want = OracleSortedCosts(instances[i]);
-    const auto& got = per_cursor[ids[i]];
+    const auto& got = per_cursor[i];
     ASSERT_EQ(got.size(), want.size()) << "cursor " << i;
     for (size_t j = 0; j < got.size(); ++j) {
       EXPECT_NEAR(got[j], want[j], 1e-9);
     }
   }
-
-  for (CursorId id : ids) EXPECT_TRUE(engine.CloseCursor(id).ok());
-  EXPECT_EQ(engine.NumOpenCursors(), 0u);
-  EXPECT_FALSE(engine.CloseCursor(ids[0]).ok());
-  EXPECT_EQ(engine.cursor(ids[0]), nullptr);
 }
 
 // --------------------------------------------------------- observability

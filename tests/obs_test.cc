@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs/): log-bucket histogram
-// accuracy and merge algebra, registry behavior, trace milestones, and
-// TSAN-visible concurrent snapshot-while-recording.
+// accuracy and merge algebra, registry behavior, trace milestones,
+// TSAN-visible concurrent snapshot-while-recording, and the T-DP build
+// metrics every preprocessing artifact records.
 //
 // The registry is process-global and tests share one process, so every
 // test uses metric names namespaced under "test." and asserts on
@@ -14,12 +15,23 @@
 
 #include <gtest/gtest.h>
 
+#include "src/anyk/anyk.h"
+#include "src/anyk/artifact.h"
+#include "src/cycles/fourcycle.h"
 #include "src/obs/instrumented_iterator.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/query/decomposition.h"
+#include "src/ranking/cost_model.h"
+#include "tests/test_instances.h"
 
 namespace topkjoin {
 namespace {
+
+using testing_fixtures::Instance;
+using testing_fixtures::MakeFourCycleInstance;
+using testing_fixtures::MakePathInstance;
+using testing_fixtures::MakeTriangleInstance;
 
 // ------------------------------------------------------------ buckets
 
@@ -389,6 +401,68 @@ TEST(InstrumentedIteratorTest, TraceWorksEvenWhenMetricsOff) {
   EXPECT_EQ(trace->ttl[0].k, 1u);
   EXPECT_EQ(trace->ttl[1].k, 2u);
   EXPECT_EQ(trace->ttl[2].k, 5u);
+}
+
+// ---------------------------------------------------- artifact builds
+
+// tdp.* build metrics have one home (RecordTdpBuild, anyk/artifact.h):
+// every artifact kind -- tree, bag, batch, 4-cycle union -- advances
+// tdp.builds and anyk.preprocessing_builds by exactly the number of
+// T-DPs it built, and a one-shot MakeAnyK is one artifact build.
+TEST(ArtifactMetricsTest, BuildCountersAdvanceOncePerTdp) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto& registry = MetricsRegistry::Global();
+  Counter* tdp_builds = registry.GetCounter("tdp.builds");
+  Counter* preprocessing_builds =
+      registry.GetCounter("anyk.preprocessing_builds");
+  Histogram* build_ns = registry.GetHistogram("tdp.build_ns");
+  const auto expect_builds = [&](int64_t n, const auto& build,
+                                 const char* what) {
+    const int64_t tdp_before = tdp_builds->value();
+    const int64_t pre_before = preprocessing_builds->value();
+    const uint64_t ns_before = build_ns->Snapshot().count;
+    build();
+    EXPECT_EQ(tdp_builds->value() - tdp_before, n) << what;
+    EXPECT_EQ(preprocessing_builds->value() - pre_before, n) << what;
+    EXPECT_EQ(build_ns->Snapshot().count - ns_before,
+              static_cast<uint64_t>(n))
+        << what;
+  };
+
+  const Instance path = MakePathInstance(3, 30, 4, 5);
+  expect_builds(1, [&] {
+    ASSERT_NE(MakeTreeArtifact<SumCost>(path.db, path.query,
+                                        AnyKAlgorithm::kPartTake2, nullptr),
+              nullptr);
+  }, "tree");
+  expect_builds(1, [&] {
+    ASSERT_NE(MakeTreeArtifact<MaxCost>(path.db, path.query,
+                                        AnyKAlgorithm::kBatch, nullptr),
+              nullptr);
+  }, "batch");
+  expect_builds(1, [&] {
+    ASSERT_NE(MakeAnyK(path.db, path.query, AnyKAlgorithm::kRec), nullptr);
+  }, "MakeAnyK");
+
+  const Instance tri = MakeTriangleInstance(20, 5, 2);
+  const auto grouping = FindAcyclicGrouping(tri.query);
+  ASSERT_TRUE(grouping.has_value());
+  expect_builds(1, [&] {
+    ASSERT_NE(MakeArtifact<LexCost>(
+                  AnyKAlgorithm::kRec, nullptr,
+                  MaterializeGrouping(tri.db, tri.query, *grouping, nullptr)),
+              nullptr);
+  }, "bag");
+
+  const Instance four = MakeFourCycleInstance(60, 8, 3);
+  const int64_t cases = static_cast<int64_t>(
+      BuildFourCyclePlans(four.db, four.query, nullptr).cases.size());
+  ASSERT_GE(cases, 2);
+  expect_builds(cases, [&] {
+    ASSERT_NE(MakeFourCycleArtifact(four.db, four.query,
+                                    AnyKAlgorithm::kPartLazy, nullptr),
+              nullptr);
+  }, "union");
 }
 
 }  // namespace

@@ -169,9 +169,9 @@ TEST(EngineDeadlineTest, CursorInheritsRequestDeadline) {
   Engine engine;
   ExecutionOptions opts;
   opts.deadline = FarDeadline();
-  auto id = engine.OpenCursor(t.db, t.query, {}, opts);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, opts);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   ASSERT_NE(cursor, nullptr);
   // Far deadline: enumeration proceeds normally.
   EXPECT_TRUE(cursor->Next().has_value());
@@ -187,9 +187,9 @@ TEST(EngineDeadlineTest, CursorInheritsRequestDeadline) {
 TEST(EngineDeadlineTest, CancelIsTerminalAndBudgetExtensionCannotRevive) {
   Instance t = MakePathInstance(2, 30, 10, 3);
   Engine engine;
-  auto id = engine.OpenCursor(t.db, t.query, {}, {});
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query, {}, {});
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
   ASSERT_NE(cursor, nullptr);
   EXPECT_TRUE(cursor->Next().has_value());
   cursor->RequestCancel();

@@ -191,9 +191,9 @@ TEST(ShardedCursorTableTest, InsertFindEraseAcrossStripes) {
 TEST(CursorStatsTest, CountersReadableWhileAnotherThreadPulls) {
   Instance t = MakePathInstance(3, 40, 4, 9);
   Engine engine;
-  auto id = engine.OpenCursor(t.db, t.query);
-  ASSERT_TRUE(id.ok());
-  Cursor* cursor = engine.cursor(id.value());
+  auto opened = engine.OpenCursor(t.db, t.query);
+  ASSERT_TRUE(opened.ok());
+  Cursor* cursor = opened.value().get();
 
   // Each counter is individually consistent (monotone); cursor.h
   // explicitly does not promise mutual consistency between the two, so
@@ -450,7 +450,7 @@ void DrainAllMatchesOracle(size_t num_workers) {
     for (const RankedResult& r : it->second) got.push_back(r.cost);
     ExpectSameCosts(got, OracleSortedCosts(instances[i]), "drained stream");
   }
-  // Cursors stay open (exhausted) after a drain, mirroring StepAll.
+  // Cursors stay open (exhausted) after a drain until closed.
   EXPECT_EQ(serving.NumOpenCursors(), ids.size());
 }
 
