@@ -2,10 +2,6 @@
 
 #include <unordered_map>
 #include <utility>
-#include <vector>
-
-#include "src/data/delta.h"
-#include "src/util/hash.h"
 
 namespace topkjoin {
 
@@ -22,40 +18,12 @@ constexpr uint64_t kPresent = 1;
 // with growth, not at a cliff.
 constexpr double kMaxPatchGrowth = 0.10;
 
-// Whether the append-only gap described by `deltas` (already clamped to
-// the requested epoch) is small enough to keep a plan made before it.
-// `view` is the caller's pinned snapshot at that epoch, so its relation
-// sizes are exact post-append sizes AT THE EPOCH -- not the live
-// database's, which a concurrent writer may have grown further -- and
-// reading them races with nothing. Growth is appended / (at_epoch -
-// appended).
-bool AppendsWithinPlanTolerance(const Database& view,
-                                const std::vector<AppendDelta>& deltas) {
-  std::unordered_map<RelationId, uint64_t> appended;
-  for (const AppendDelta& d : deltas) appended[d.relation] += d.num_rows;
-  for (const auto& [relation, rows] : appended) {
-    const uint64_t now = view.relation(relation).NumTuples();
-    if (now < rows) return false;  // shrunk?! treat as not coverable
-    const uint64_t before = now - rows;
-    if (static_cast<double>(rows) >
-        kMaxPatchGrowth * static_cast<double>(before)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
-PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {}
-
-PlanCache::Fingerprint PlanCache::Make(const Database& db,
-                                       const ConjunctiveQuery& query,
-                                       const RankingSpec& ranking,
-                                       const ExecutionOptions& opts) {
-  Fingerprint f;
-  f.db = &db;
-  auto& e = f.encoded;
+CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
+                         const RankingSpec& ranking,
+                         const ExecutionOptions& opts) {
+  std::vector<uint64_t> e;
   e.reserve(10 + query.NumAtoms() * 6);
   e.push_back(static_cast<uint64_t>(query.num_vars()));
   e.push_back(static_cast<uint64_t>(ranking.model));
@@ -73,109 +41,25 @@ PlanCache::Fingerprint PlanCache::Make(const Database& db,
     e.push_back(atom.vars.size());
     for (const VarId v : atom.vars) e.push_back(static_cast<uint64_t>(v));
   }
-  uint64_t h = HashMix(0x706c616e63616368ULL,
-                       reinterpret_cast<uintptr_t>(f.db));
-  for (const uint64_t word : e) h = HashMix(h, word);
-  f.hash = h;
-  return f;
+  return CacheKey(&db, std::move(e));
 }
 
-std::optional<QueryPlan> PlanCache::Lookup(const Fingerprint& key,
-                                           uint64_t db_version,
-                                           const Database* live_db,
-                                           const Database* epoch_view) {
-  MutexLock lock(&mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  if (it->second->db_version > db_version) {
-    // The entry was planned for a LATER epoch than this request's
-    // pinned snapshot (a racing open got there first). Retagging it
-    // down would make live-epoch requests re-patch or re-plan it over
-    // and over across interleaved epochs; keep it and just miss.
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  if (it->second->db_version != db_version) {
-    // The database changed since this plan was made; the cardinality
-    // estimates (and even the chosen grouping) may no longer hold.
-    // Unless, that is, the gap is a small pure-append delta: then they
-    // hold to within kMaxPatchGrowth and the plan is salvaged in place.
-    std::vector<AppendDelta> deltas;
-    if (live_db != nullptr && epoch_view != nullptr &&
-        live_db->DeltasSince(it->second->db_version, &deltas)) {
-      // The log catches up to the live version, which may already be
-      // past this request's snapshot; the plan is only being retagged
-      // to `db_version`, so judge the gap up to there and no further.
-      std::erase_if(deltas, [db_version](const AppendDelta& d) {
-        return d.to_version > db_version;
-      });
-      if (AppendsWithinPlanTolerance(*epoch_view, deltas)) {
-        it->second->db_version = db_version;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++stats_.patches;
-        ++stats_.hits;
-        return it->second->plan;
-      }
+std::shared_ptr<const QueryPlan> RetagPlan(
+    const std::shared_ptr<const QueryPlan>& stale, const Database& view,
+    const std::vector<AppendDelta>& gap) {
+  std::unordered_map<RelationId, uint64_t> appended;
+  for (const AppendDelta& d : gap) appended[d.relation] += d.num_rows;
+  for (const auto& [relation, rows] : appended) {
+    // Growth is appended / (size at the epoch - appended).
+    const uint64_t now = view.relation(relation).NumTuples();
+    if (now < rows) return nullptr;  // shrunk?! treat as not coverable
+    const uint64_t before = now - rows;
+    if (static_cast<double>(rows) >
+        kMaxPatchGrowth * static_cast<double>(before)) {
+      return nullptr;
     }
-    EraseLocked(it->second);
-    ++stats_.invalidations;
-    ++stats_.misses;
-    return std::nullopt;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++stats_.hits;
-  return it->second->plan;
-}
-
-void PlanCache::Insert(const Fingerprint& key, uint64_t db_version,
-                       const QueryPlan& plan) {
-  if (capacity_ == 0) return;
-  MutexLock lock(&mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    if (it->second->db_version > db_version) {
-      // A racing open already cached a later-epoch plan; replacing it
-      // with this older one would regress the entry.
-      return;
-    }
-    it->second->db_version = db_version;
-    it->second->plan = plan;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, db_version, plan});
-  index_.emplace(key, lru_.begin());
-  if (lru_.size() > capacity_) {
-    EraseLocked(std::prev(lru_.end()));
-    ++stats_.evictions;
-  }
-}
-
-void PlanCache::InvalidateDatabase(const Database* db) {
-  MutexLock lock(&mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const auto next = std::next(it);
-    if (it->key.db == db) {
-      EraseLocked(it);
-      ++stats_.invalidations;
-    }
-    it = next;
-  }
-}
-
-PlanCacheStats PlanCache::stats() const {
-  MutexLock lock(&mu_);
-  PlanCacheStats out = stats_;
-  out.entries = lru_.size();
-  return out;
-}
-
-void PlanCache::EraseLocked(LruList::iterator it) {
-  index_.erase(it->key);
-  lru_.erase(it);
+  return stale;
 }
 
 }  // namespace topkjoin

@@ -1,133 +1,47 @@
-// Cross-request plan cache for the serving layer.
+// The serving layer's plan cache and the key it shares with the
+// artifact cache.
 //
-// Planning a query is no longer cheap: PlanQuery samples every relation
+// Planning a query is not cheap: PlanQuery samples every relation
 // (src/stats/), solves the AGM LP, and searches bag groupings. Serving
 // workloads repeat a small set of hot queries, so ServingEngine caches
-// the finished QueryPlan keyed by a structural fingerprint of
-// (query, ranking, execution options) plus the identity AND version of
-// the database it was planned against. A version bump (any Database::Add
-// or mutable_relation access) makes every cached plan for that database
-// unreachable; stale entries are dropped lazily on the next lookup that
-// collides with them and bounded overall by LRU capacity.
-//
-// Thread-safety: all methods are safe to call concurrently (one mutex;
-// the cache is only touched once per OpenCursor, never per Fetch).
+// the finished QueryPlan in a VersionedCache (src/data/versioned_cache.h)
+// keyed by a structural fingerprint of (query, ranking, execution
+// options) and the identity of the database, at the epoch it was
+// planned against. A stale plan survives a small pure-append delta:
+// RetagPlan keeps it while its cardinality estimates still hold.
 #ifndef TOPKJOIN_SERVING_PLAN_CACHE_H_
 #define TOPKJOIN_SERVING_PLAN_CACHE_H_
 
-#include <cstdint>
-#include <list>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "src/data/versioned_cache.h"
 #include "src/engine/planner.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace topkjoin {
 
-/// Monitoring counters; `entries` is the current size.
-struct PlanCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  /// Lookups that found a fingerprint match planned against an older
-  /// database version (the entry is dropped and the lookup misses).
-  uint64_t invalidations = 0;
-  /// LRU capacity evictions.
-  uint64_t evictions = 0;
-  /// Stale entries salvaged in place instead of dropped: the version
-  /// gap was pure appends (covered by the delta log) small enough that
-  /// the cached value still holds, so the entry was retagged to the new
-  /// version (plans) or patched incrementally (artifacts).
-  uint64_t patches = 0;
-  size_t entries = 0;
-};
+using PlanCache = VersionedCache<QueryPlan>;
+/// The stats shape of the plan and artifact caches.
+using PlanCacheStats = VersionedCacheStats;
 
-class PlanCache {
- public:
-  /// `capacity` bounds the entry count; 0 disables caching entirely
-  /// (every Lookup misses, Insert is a no-op).
-  explicit PlanCache(size_t capacity);
+/// Structural identity of a plan request: equal iff the requests name
+/// the same Database object and encode the same (atoms, num_vars,
+/// ranking dioid, k, forced algorithm, any-k part variant) --
+/// everything PlanQuery's output depends on besides the data itself,
+/// which the cache's epoch covers. The artifact cache uses the same key.
+CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
+                         const RankingSpec& ranking,
+                         const ExecutionOptions& opts);
 
-  /// Structural identity of a plan request. Two requests fingerprint
-  /// equal iff they reference the same Database object and encode the
-  /// same (atoms, num_vars, ranking dioid, k, forced algorithm, any-k
-  /// part variant) -- everything PlanQuery's output depends on besides
-  /// the data itself, which the version argument of Lookup/Insert
-  /// covers.
-  struct Fingerprint {
-    const Database* db = nullptr;
-    std::vector<uint64_t> encoded;
-    uint64_t hash = 0;
-
-    bool operator==(const Fingerprint& other) const {
-      return db == other.db && encoded == other.encoded;
-    }
-  };
-
-  static Fingerprint Make(const Database& db, const ConjunctiveQuery& query,
-                          const RankingSpec& ranking,
-                          const ExecutionOptions& opts);
-
-  /// Returns the cached plan when present and planned at `db_version`.
-  /// An entry planned at an OLDER version is dropped and the lookup
-  /// misses; an entry planned at a NEWER version (a racing open for a
-  /// later epoch got there first) is kept in place and the lookup is a
-  /// plain miss.
-  ///
-  /// When `live_db` and `epoch_view` are given, an older entry is
-  /// first salvaged if possible: if the gap from the cached version up
-  /// to `db_version` is pure appends (covered by `live_db`'s delta
-  /// log; records committed after `db_version` are ignored) and every
-  /// touched relation grew by at most ~10% of its size in
-  /// `epoch_view` -- the caller's pinned snapshot at `db_version`, so
-  /// the sizes are exact and race-free -- the plan's cardinality
-  /// estimates still hold and the entry is retagged to `db_version`
-  /// and returned as a hit (counted under stats().patches). Barriers,
-  /// trimmed logs, or larger growth evict as before.
-  std::optional<QueryPlan> Lookup(const Fingerprint& key, uint64_t db_version,
-                                  const Database* live_db = nullptr,
-                                  const Database* epoch_view = nullptr)
-      EXCLUDES(mu_);
-
-  /// Caches `plan` for the key at `db_version`, evicting the least
-  /// recently used entry beyond capacity. Re-inserting an existing key
-  /// overwrites (last planner wins; concurrent planners of the same
-  /// query produce identical plans anyway -- planning is
-  /// deterministic), except that an existing entry at a NEWER version
-  /// is kept: a plan from an older snapshot never downgrades it.
-  void Insert(const Fingerprint& key, uint64_t db_version,
-              const QueryPlan& plan) EXCLUDES(mu_);
-
-  /// Drops every entry for the given database (e.g. before freeing it).
-  void InvalidateDatabase(const Database* db) EXCLUDES(mu_);
-
-  PlanCacheStats stats() const EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct FingerprintHash {
-    size_t operator()(const Fingerprint& f) const {
-      return static_cast<size_t>(f.hash);
-    }
-  };
-  struct Entry {
-    Fingerprint key;
-    uint64_t db_version = 0;
-    QueryPlan plan;
-  };
-  using LruList = std::list<Entry>;
-
-  void EraseLocked(LruList::iterator it) REQUIRES(mu_);
-
-  const size_t capacity_;
-  mutable Mutex mu_;
-  LruList lru_ GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<Fingerprint, LruList::iterator, FingerprintHash> index_
-      GUARDED_BY(mu_);
-  PlanCacheStats stats_ GUARDED_BY(mu_);
-};
+/// The plan cache's patch rule. A stale plan still holds -- and is
+/// returned as is, to be retagged at the new epoch -- when every
+/// relation the append-only `gap` touched grew by at most ~10%.
+/// `view` is the requester's pinned snapshot at the epoch the gap ends
+/// at, so the post-append sizes are exact and race-free. nullptr
+/// refuses.
+std::shared_ptr<const QueryPlan> RetagPlan(
+    const std::shared_ptr<const QueryPlan>& stale, const Database& view,
+    const std::vector<AppendDelta>& gap);
 
 }  // namespace topkjoin
 

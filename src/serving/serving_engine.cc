@@ -42,6 +42,24 @@ size_t PayWork(Session& session, size_t amount) {
   return amount;
 }
 
+// Overlays one cache's stats as <prefix>.hits, .misses, ... counters
+// and the <prefix>.entries gauge.
+void OverlayCacheStats(const std::string& prefix,
+                       const VersionedCacheStats& stats,
+                       MetricsSnapshot* snap) {
+  const std::pair<const char*, uint64_t> counters[] = {
+      {".hits", stats.hits},
+      {".misses", stats.misses},
+      {".patches", stats.patches},
+      {".builds", stats.builds},
+      {".invalidations", stats.invalidations},
+      {".evictions", stats.evictions}};
+  for (const auto& [suffix, value] : counters) {
+    snap->counters[prefix + suffix] = static_cast<int64_t>(value);
+  }
+  snap->gauges[prefix + ".entries"] = static_cast<int64_t>(stats.entries);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- lifecycle
@@ -81,8 +99,9 @@ class ServingEngine::InflightGuard {
 ServingEngine::ServingEngine(ServingOptions options)
     : options_(options),
       cursors_(options.num_stripes),
-      plan_cache_(options.plan_cache_capacity),
-      artifact_cache_(options.artifact_cache_capacity),
+      plan_cache_("serving.plan_cache", options.plan_cache_capacity),
+      artifact_cache_("serving.artifact_cache",
+                      options.artifact_cache_capacity),
       pool_(options.num_workers) {}
 
 void ServingEngine::Shutdown() {
@@ -275,135 +294,76 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
   // the cached QueryPlan already fixes strategy, algorithm, and bag
   // grouping -- and then skip preprocessing too: the artifact cache
   // shares the compiled T-DP/bag artifact across cursors, so a warm
-  // OpenCursor only mints a per-cursor enumeration state. Passing the
-  // live db (for its delta log) and the pinned view (for exact sizes
-  // at this epoch) to Lookup lets a stale plan survive a small
-  // pure-append delta (retagged in place) instead of being replanned.
-  const PlanCache::Fingerprint key =
-      PlanCache::Make(db, query, ranking, opts);
-  std::optional<QueryPlan> plan = plan_cache_.Lookup(key, epoch, &db, &view);
-  if (!plan.has_value()) {
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry::Global()
-          .GetCounter("serving.plan_cache_misses")
-          ->Increment();
-    }
-    const FastClock::Ticks plan_start = FastClock::Now();
-    const std::shared_ptr<const CardinalityEstimator> estimator =
-        estimator_cache_.For(db, snapshot);
-    auto planned = PlanQuery(view, query, ranking, opts, estimator.get());
-    if (!planned.ok()) return planned.status();
-    plans_computed_.fetch_add(1, std::memory_order_relaxed);
-    plan = std::move(planned).value();
-    // A failpoint-injected insert failure degrades to cache-miss
-    // behavior (the plan still serves this request) -- exactly what a
-    // real insert-path fault should do.
-    bool insert_plan = true;
-    if constexpr (kFailpointsEnabled) {
-      insert_plan =
-          FailpointRegistry::Global().Evaluate("serving.plan_cache.insert")
-              .ok();
-    }
-    if (insert_plan) plan_cache_.Insert(key, epoch, *plan);
-    if (trace != nullptr) {
+  // OpenCursor only mints a per-cursor enumeration state. After a small
+  // pure-append delta, both caches salvage their stale entry: the plan
+  // is retagged, the artifact delta-refolded.
+  const CacheKey key = PlanFingerprint(db, query, ranking, opts);
+  const FastClock::Ticks plan_start = FastClock::Now();
+  auto plan = plan_cache_.GetOrBuild(
+      key, db, *snapshot,
+      [&view](const std::shared_ptr<const QueryPlan>& stale,
+              const std::vector<AppendDelta>& gap) {
+        return RetagPlan(stale, view, gap);
+      },
+      [&]() -> StatusOr<std::shared_ptr<const QueryPlan>> {
+        const std::shared_ptr<const CardinalityEstimator> estimator =
+            estimator_cache_.For(db, snapshot);
+        auto planned = PlanQuery(view, query, ranking, opts, estimator.get());
+        if (!planned.ok()) return planned.status();
+        return std::make_shared<const QueryPlan>(std::move(planned).value());
+      });
+  if (!plan.ok()) return plan.status();
+  const QueryPlan& query_plan = *plan.value().value;
+  if (trace != nullptr) {
+    trace->plan_cache_hit = plan.value().outcome == CacheOutcome::kHit;
+    if (!trace->plan_cache_hit) {
       trace->AddPhase("plan",
                       FastClock::TicksToNs(FastClock::Now() - plan_start));
     }
-  } else {
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry::Global()
-          .GetCounter("serving.plan_cache_hits")
-          ->Increment();
-    }
-    if (trace != nullptr) trace->plan_cache_hit = true;
   }
   // Estimator-driven shedding sits between planning and compilation:
   // the plan's cardinality estimates are exactly the predicted work,
   // and for hot queries the plan cache makes this check nearly free --
   // the expensive preprocessing below is what it protects.
-  if (Status admitted = CheckPredictedWorkAdmission(*plan, opts);
+  if (Status admitted = CheckPredictedWorkAdmission(query_plan, opts);
       !admitted.ok()) {
     return admitted;
   }
   const FastClock::Ticks compile_start = FastClock::Now();
-  const ArtifactCache::LookupResult cached =
-      artifact_cache_.LookupForPatch(key, epoch);
-  std::shared_ptr<const PreprocessingArtifact> artifact =
-      cached.fresh ? cached.artifact : nullptr;
-  if (artifact == nullptr) {
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry::Global()
-          .GetCounter("serving.artifact_cache_misses")
-          ->Increment();
-    }
-    // Patch-or-evict: when the stale artifact's gap is pure appends
-    // (delta log covers it) whose keys fit the existing group
-    // structure, upgrade it in place -- only the delta-touched T-DP
-    // groups are refolded -- instead of rebuilding from scratch.
-    // Patches only go FORWARD to this open's pinned epoch: the cache
-    // never hands back an artifact newer than `epoch` (see
-    // LookupForPatch), and since the delta log always catches up to
-    // the live version -- which a concurrent ApplyDelta may have moved
-    // past our snapshot -- deltas committed after `epoch` are dropped,
-    // or the patch would fold rows the snapshot does not contain.
-    bool try_patch = true;
-    if constexpr (kFailpointsEnabled) {
-      // An injected patch failure forces the full-rebuild path -- the
-      // same degradation a real refold refusal produces.
-      try_patch =
-          FailpointRegistry::Global().Evaluate("serving.artifact.patch").ok();
-    }
-    if (try_patch && cached.artifact != nullptr &&
-        cached.built_version < epoch) {
-      std::vector<AppendDelta> deltas;
-      if (db.DeltasSince(cached.built_version, &deltas)) {
-        std::erase_if(deltas, [epoch](const AppendDelta& d) {
-          return d.to_version > epoch;
-        });
-        artifact = cached.artifact->TryPatch(view, deltas);
-      }
-    }
+  auto artifact = artifact_cache_.GetOrBuild(
+      key, db, *snapshot,
+      [&view](const std::shared_ptr<const PreprocessingArtifact>& stale,
+              const std::vector<AppendDelta>& gap)
+          -> std::shared_ptr<const PreprocessingArtifact> {
+        if constexpr (kFailpointsEnabled) {
+          // An injected patch failure forces the full-rebuild path --
+          // the same degradation a real refold refusal produces.
+          if (!FailpointRegistry::Global()
+                   .Evaluate("serving.artifact.patch")
+                   .ok()) {
+            return nullptr;
+          }
+        }
+        // Only the delta-touched T-DP groups are refolded; keys outside
+        // the existing group structure make TryPatch refuse.
+        return stale->TryPatch(view, gap);
+      },
+      [&] { return BuildArtifact(view, query, query_plan, nullptr); });
+  if (!artifact.ok()) return artifact.status();
+  if (artifact.value().outcome == CacheOutcome::kPatched) {
     // The refold has no internal abort polls (it is delta-sized, not
-    // data-sized), but the deadline may have expired across it; check
-    // once before committing to this artifact.
-    if (artifact != nullptr) {
-      if (Status aborted = ExecContext::AbortStatus("preprocessing");
-          !aborted.ok()) {
-        return aborted;
-      }
+    // data-sized), but the deadline may have expired across it.
+    if (Status aborted = ExecContext::AbortStatus("preprocessing");
+        !aborted.ok()) {
+      return aborted;
     }
-    if (artifact != nullptr) {
-      artifacts_patched_.fetch_add(1, std::memory_order_relaxed);
-      artifact_cache_.CountPatch();
-      if constexpr (kMetricsEnabled) {
-        MetricsRegistry::Global()
-            .GetCounter("serving.artifact_patches")
-            ->Increment();
-      }
-    } else {
-      auto built = BuildArtifact(view, query, *plan, nullptr);
-      if (!built.ok()) return built.status();
-      artifacts_built_.fetch_add(1, std::memory_order_relaxed);
-      artifact = std::move(built).value();
-    }
-    bool insert_artifact = true;
-    if constexpr (kFailpointsEnabled) {
-      insert_artifact =
-          FailpointRegistry::Global()
-              .Evaluate("serving.artifact_cache.insert")
-              .ok();
-    }
-    if (insert_artifact) artifact_cache_.Insert(key, epoch, artifact);
-  } else {
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry::Global()
-          .GetCounter("serving.artifact_cache_hits")
-          ->Increment();
-    }
-    if (trace != nullptr) trace->artifact_cache_hit = true;
+  }
+  if (trace != nullptr) {
+    trace->artifact_cache_hit =
+        artifact.value().outcome == CacheOutcome::kHit;
   }
   std::unique_ptr<RankedIterator> stream =
-      NewEnumeration(*artifact, *plan, trace);
+      NewEnumeration(*artifact.value().value, query_plan, trace);
   if (trace != nullptr) {
     // Both paths report the phase: a warm open's near-zero
     // compile+preprocess time is exactly the claim worth tracing.
@@ -427,7 +387,7 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
 void ServingEngine::InvalidateCachedPlans(const Database& db) {
   plan_cache_.InvalidateDatabase(&db);
   artifact_cache_.InvalidateDatabase(&db);
-  estimator_cache_.Invalidate(&db);
+  estimator_cache_.InvalidateDatabase(&db);
 }
 
 Status ServingEngine::CloseCursor(CursorId id) {
@@ -744,43 +704,21 @@ MetricsSnapshot ServingEngine::GetMetricsSnapshot() const {
       static_cast<int64_t>(cursors_.NumCursors());
   snap.gauges["serving.open_sessions"] =
       static_cast<int64_t>(NumOpenSessions());
-  snap.counters["serving.plans_computed"] =
-      static_cast<int64_t>(plans_computed_.load(std::memory_order_relaxed));
   snap.counters["serving.requests_shed"] =
       static_cast<int64_t>(requests_shed_.load(std::memory_order_relaxed));
   snap.counters["serving.cursors_cancelled"] = static_cast<int64_t>(
       cursors_cancelled_.load(std::memory_order_relaxed));
   snap.gauges["serving.queue_depth"] =
       static_cast<int64_t>(pool_.QueueDepth());
-  const PlanCacheStats cache = plan_cache_.stats();
-  snap.counters["serving.plan_cache.hits"] = static_cast<int64_t>(cache.hits);
-  snap.counters["serving.plan_cache.misses"] =
-      static_cast<int64_t>(cache.misses);
-  snap.counters["serving.plan_cache.invalidations"] =
-      static_cast<int64_t>(cache.invalidations);
-  snap.counters["serving.plan_cache.evictions"] =
-      static_cast<int64_t>(cache.evictions);
-  snap.counters["serving.plan_cache.patches"] =
-      static_cast<int64_t>(cache.patches);
-  snap.gauges["serving.plan_cache.entries"] =
-      static_cast<int64_t>(cache.entries);
-  snap.counters["serving.artifacts_built"] =
-      static_cast<int64_t>(artifacts_built_.load(std::memory_order_relaxed));
-  snap.counters["serving.artifacts_patched"] = static_cast<int64_t>(
-      artifacts_patched_.load(std::memory_order_relaxed));
+  const PlanCacheStats plans = plan_cache_.stats();
   const PlanCacheStats artifacts = artifact_cache_.stats();
-  snap.counters["serving.artifact_cache.hits"] =
-      static_cast<int64_t>(artifacts.hits);
-  snap.counters["serving.artifact_cache.misses"] =
-      static_cast<int64_t>(artifacts.misses);
-  snap.counters["serving.artifact_cache.invalidations"] =
-      static_cast<int64_t>(artifacts.invalidations);
-  snap.counters["serving.artifact_cache.evictions"] =
-      static_cast<int64_t>(artifacts.evictions);
-  snap.counters["serving.artifact_cache.patches"] =
+  OverlayCacheStats("serving.plan_cache", plans, &snap);
+  OverlayCacheStats("serving.artifact_cache", artifacts, &snap);
+  snap.counters["serving.plans_computed"] = static_cast<int64_t>(plans.builds);
+  snap.counters["serving.artifacts_built"] =
+      static_cast<int64_t>(artifacts.builds);
+  snap.counters["serving.artifacts_patched"] =
       static_cast<int64_t>(artifacts.patches);
-  snap.gauges["serving.artifact_cache.entries"] =
-      static_cast<int64_t>(artifacts.entries);
   return snap;
 }
 

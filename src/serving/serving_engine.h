@@ -39,7 +39,6 @@
 #include "src/engine/engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/serving/artifact_cache.h"
 #include "src/serving/plan_cache.h"
 #include "src/serving/session.h"
 #include "src/serving/sharded_cursor_table.h"
@@ -88,8 +87,8 @@ struct ServingOptions {
   /// queries skip PlanQuery -- relation sampling, the AGM LP, and the
   /// grouping search -- on repeat OpenCursor. 0 disables caching.
   size_t plan_cache_capacity = 256;
-  /// Entries of the cross-request preprocessing-artifact cache
-  /// (artifact_cache.h); hot queries skip the full reducer, bag
+  /// Entries of the cross-request preprocessing-artifact cache (a
+  /// VersionedCache, src/data/versioned_cache.h); hot queries skip the full reducer, bag
   /// materialization, and T-DP build, so a warm OpenCursor only mints a
   /// per-cursor enumeration state -- O(1) in the data. 0 disables
   /// caching (every OpenCursor rebuilds).
@@ -237,28 +236,28 @@ class ServingEngine {
   /// cursor closes.
   StatusOr<QueryTrace> GetQueryTrace(CursorId id);
 
-  /// Plan-cache monitoring: hits/misses/invalidations/evictions.
+  /// Plan-cache monitoring: hits, misses (= patches + builds + failed
+  /// builds), patches (stale plans retagged), builds (PlanQuery runs),
+  /// invalidations, evictions, and the current entry count.
   PlanCacheStats GetPlanCacheStats() const { return plan_cache_.stats(); }
-  /// Artifact-cache monitoring (same stats shape as the plan cache).
+  /// Artifact-cache monitoring (same stats shape and counting rule).
   PlanCacheStats GetArtifactCacheStats() const {
     return artifact_cache_.stats();
   }
-  /// How many times OpenCursor actually ran PlanQuery (i.e., missed the
-  /// plan cache). hits + NumPlansComputed() == successful plan lookups.
-  uint64_t NumPlansComputed() const {
-    return plans_computed_.load(std::memory_order_relaxed);
-  }
-  /// How many times OpenCursor actually ran preprocessing (i.e., missed
-  /// the artifact cache). N warm opens of the same query leave this at
-  /// 1. Works in metrics-off builds.
-  uint64_t NumArtifactsBuilt() const {
-    return artifacts_built_.load(std::memory_order_relaxed);
-  }
-  /// How many times a stale cached artifact was upgraded in place by an
-  /// incremental patch (delta-scoped refold) instead of a full rebuild.
-  /// Also exported as the serving.artifact_patches counter.
+  /// How many times OpenCursor actually ran PlanQuery: the plan cache's
+  /// builds. hits + patches + NumPlansComputed() == successful opens
+  /// past planning.
+  uint64_t NumPlansComputed() const { return plan_cache_.stats().builds; }
+  /// How many times OpenCursor actually ran preprocessing: the artifact
+  /// cache's builds. N warm opens of the same query leave this at 1.
+  /// Works in metrics-off builds.
+  uint64_t NumArtifactsBuilt() const { return artifact_cache_.stats().builds; }
+  /// How many times a stale cached artifact was upgraded by an
+  /// incremental patch (delta-scoped refold) instead of a full rebuild:
+  /// the artifact cache's patches, also exported as the
+  /// serving.artifact_cache_patches counter.
   uint64_t NumArtifactsPatched() const {
-    return artifacts_patched_.load(std::memory_order_relaxed);
+    return artifact_cache_.stats().patches;
   }
   /// OpenCursor requests rejected by the OverloadPolicy (typed
   /// kUnavailable). Also exported as the serving.requests_shed counter;
@@ -317,10 +316,7 @@ class ServingEngine {
   const ServingOptions options_;
   ShardedCursorTable cursors_;
   PlanCache plan_cache_;
-  ArtifactCache artifact_cache_;
-  std::atomic<uint64_t> plans_computed_{0};
-  std::atomic<uint64_t> artifacts_built_{0};
-  std::atomic<uint64_t> artifacts_patched_{0};
+  VersionedCache<PreprocessingArtifact> artifact_cache_;
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> cursors_cancelled_{0};
 
@@ -333,10 +329,10 @@ class ServingEngine {
   CondVar lifecycle_cv_;
   size_t inflight_ GUARDED_BY(lifecycle_mu_) = 0;
 
-  /// Sampled statistics per (db, version), built once and shared across
+  /// Sampled statistics per (db, epoch), built once and shared across
   /// plan-cache misses (PlanQuery's own contract: "pass a prebuilt
-  /// estimator to amortize sampling"). Single-entry by design -- see
-  /// stats/estimator_cache.h; Engine shares the same class.
+  /// estimator to amortize sampling"). A small per-database LRU -- see
+  /// stats/estimator_cache.h; Engine uses the same class.
   EstimatorCache estimator_cache_;
 
   mutable Mutex sessions_mu_;

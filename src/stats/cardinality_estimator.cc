@@ -50,11 +50,6 @@ void CardinalityEstimator::RetargetAndExtend(const Database& db) {
   ScopedTimer timer(kMetricsEnabled ? MetricsRegistry::Global().GetHistogram(
                                           "stats.estimator_patch_ns")
                                     : nullptr);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global()
-        .GetCounter("stats.estimator_patches")
-        ->Increment();
-  }
   db_ = &db;
   for (RelationId id = 0; id < samples_.size(); ++id) {
     samples_[id].ExtendTo(db.relation(id));

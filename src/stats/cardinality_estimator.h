@@ -79,7 +79,7 @@ class CardinalityEstimator {
   /// Incremental maintenance for live updates: retargets this estimator
   /// at `db`, which must hold the same relation catalog with rows only
   /// *appended* since this estimator sampled it (Database::DeltasSince
-  /// coverage is the caller's check -- see stats/estimator_cache.cc).
+  /// coverage is the caller's check -- see data/versioned_cache.h).
   /// Every reservoir sample continues over its relation's appended
   /// suffix, so the cost is O(appended rows), not O(total tuples).
   void RetargetAndExtend(const Database& db);

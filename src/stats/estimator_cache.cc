@@ -3,29 +3,24 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
-
 namespace topkjoin {
 
 namespace {
 
-void CountMetric(const char* name) {
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter(name)->Increment();
-  }
+/// Keeps the snapshot alive for as long as anyone holds the estimator:
+/// the returned shared_ptr aliases into a pair that owns both.
+std::shared_ptr<const CardinalityEstimator> Alias(
+    std::shared_ptr<const DatabaseSnapshot> snap,
+    std::shared_ptr<const CardinalityEstimator> est) {
+  struct Pinned {
+    std::shared_ptr<const DatabaseSnapshot> snap;
+    std::shared_ptr<const CardinalityEstimator> est;
+  };
+  auto pinned = std::make_shared<Pinned>(Pinned{std::move(snap), est});
+  return std::shared_ptr<const CardinalityEstimator>(pinned, est.get());
 }
 
 }  // namespace
-
-std::shared_ptr<const CardinalityEstimator> EstimatorCache::Alias(
-    std::shared_ptr<const DatabaseSnapshot> snap,
-    std::shared_ptr<const CardinalityEstimator> est) {
-  auto pinned = std::make_shared<Pinned>();
-  pinned->snap = std::move(snap);
-  pinned->est = std::move(est);
-  return std::shared_ptr<const CardinalityEstimator>(pinned,
-                                                     pinned->est.get());
-}
 
 std::shared_ptr<const CardinalityEstimator> EstimatorCache::For(
     const Database& db) {
@@ -34,78 +29,22 @@ std::shared_ptr<const CardinalityEstimator> EstimatorCache::For(
 
 std::shared_ptr<const CardinalityEstimator> EstimatorCache::For(
     const Database& db, std::shared_ptr<const DatabaseSnapshot> snap) {
-  const uint64_t epoch = snap->epoch();
-  MutexLock lock(&mu_);
-  auto it = entries_.begin();
-  for (; it != entries_.end(); ++it) {
-    if (it->db == &db) break;
-  }
-  if (it != entries_.end() && it->epoch == epoch) {
-    CountMetric("stats.estimator_cache_hits");
-    entries_.splice(entries_.begin(), entries_, it);
-    return it->est;
-  }
-  if (it != entries_.end() && it->epoch > epoch) {
-    // The cached entry was built for a LATER epoch than this request's
-    // pinned snapshot: a concurrent request that snapshotted after a
-    // delta raced ahead of us. Patching backwards is impossible (the
-    // reservoirs would have to shrink -- ExtendTo aborts), and
-    // rewriting the entry down would regress it for live-epoch
-    // requests. Serve this request a one-off estimator built from its
-    // own snapshot and leave the newer entry untouched.
-    CountMetric("stats.estimator_cache_misses");
-    auto built = std::make_shared<const CardinalityEstimator>(snap->view());
-    ++builds_;
-    return Alias(std::move(snap), std::move(built));
-  }
-  if (it != entries_.end()) {
-    // Entry older than the pinned snapshot. If the gap is pure appends,
-    // patch the estimator (extend its reservoirs over the appended
-    // rows) instead of resampling every relation from scratch. The
-    // delta log covers it->epoch -> live; coverage to live implies
-    // coverage to the (intermediate or equal) snapshot epoch, and
-    // RetargetAndExtend only consumes rows present in snap->view(), so
-    // the patch lands exactly at `epoch`.
-    std::vector<AppendDelta> deltas;
-    if (db.DeltasSince(it->epoch, &deltas)) {
-      auto patched = std::make_shared<CardinalityEstimator>(*it->est);
-      patched->RetargetAndExtend(snap->view());
-      it->epoch = epoch;
-      it->est = Alias(std::move(snap), std::move(patched));
-      ++patches_;
-      entries_.splice(entries_.begin(), entries_, it);
-      return it->est;
-    }
-    // Barrier in between (or log trimmed): full rebuild below.
-    entries_.erase(it);
-  }
-  CountMetric("stats.estimator_cache_misses");
-  auto built = std::make_shared<const CardinalityEstimator>(snap->view());
-  ++builds_;
-  Entry entry;
-  entry.db = &db;
-  entry.epoch = epoch;
-  entry.est = Alias(std::move(snap), std::move(built));
-  entries_.push_front(std::move(entry));
-  while (entries_.size() > std::max<size_t>(1, capacity_)) {
-    entries_.pop_back();
-  }
-  return entries_.front().est;
-}
-
-void EstimatorCache::Invalidate(const Database* db) {
-  MutexLock lock(&mu_);
-  entries_.remove_if([db](const Entry& e) { return e.db == db; });
-}
-
-size_t EstimatorCache::NumBuilds() const {
-  MutexLock lock(&mu_);
-  return builds_;
-}
-
-size_t EstimatorCache::NumPatches() const {
-  MutexLock lock(&mu_);
-  return patches_;
+  auto result = cache_.GetOrBuild(
+      CacheKey(&db, {}), db, *snap,
+      [&snap](const std::shared_ptr<const CardinalityEstimator>& stale,
+              const std::vector<AppendDelta>& /*gap*/) {
+        // The gap is pure appends: extend a copy's reservoirs over the
+        // appended rows of the pinned view, which ends exactly at the
+        // snapshot's epoch.
+        auto patched = std::make_shared<CardinalityEstimator>(*stale);
+        patched->RetargetAndExtend(snap->view());
+        return Alias(snap, std::move(patched));
+      },
+      [&snap]() -> StatusOr<std::shared_ptr<const CardinalityEstimator>> {
+        return Alias(snap,
+                     std::make_shared<const CardinalityEstimator>(snap->view()));
+      });
+  return std::move(result).value().value;
 }
 
 }  // namespace topkjoin

@@ -1,95 +1,64 @@
-// Small keyed LRU cache of CardinalityEstimators, one entry per
-// database, keyed on (database identity, snapshot epoch).
+// Small LRU cache of CardinalityEstimators: a VersionedCache
+// (src/data/versioned_cache.h) keyed on the database identity alone,
+// one entry per database, versioned by snapshot epoch.
 //
 // Building an estimator samples every relation (O(total tuples)), so
 // bare Engine::Execute/Explain calls that rebuilt one per query paid
-// the sampling cost over and over -- and double-counted it in the
-// planner metrics. Both Engine and ServingEngine share this cache. It
-// used to be a single entry, which meant two databases served
-// alternately thrashed a full estimator rebuild on every request; now
-// each database gets its own slot under a small LRU capacity,
-// consistent with the plan/artifact cache identity rules (raw Database
-// pointer + epoch-seeded version, so a freed database's slot can never
-// be replayed by an unrelated object reusing the address).
+// the sampling cost over and over. Engine and ServingEngine each hold
+// one of these; two databases served alternately keep one entry each.
 //
 // Live updates: every cached estimator is built over -- and pins -- a
 // DatabaseSnapshot, so it stays valid however the live database
-// mutates. When a lookup finds a stale entry whose gap is covered by
-// the delta log (pure appends), the estimator is *patched*: copied and
-// its reservoir samples extended over the appended rows
-// (CardinalityEstimator::RetargetAndExtend, O(appended)), instead of
-// resampling everything. Barriers (Add / mutable_relation) fall back
-// to a full rebuild.
+// mutates. A stale entry whose gap the delta log covers (pure appends)
+// is patched: copied and its reservoir samples extended over the
+// appended rows (CardinalityEstimator::RetargetAndExtend,
+// O(appended)), instead of resampled. Barriers (Add /
+// mutable_relation) fall back to a full rebuild.
 //
-// Thread-safety: all methods are safe to call concurrently. Building
-// happens under the lock, so concurrent first-misses of the same
-// database serialize onto one sampling pass instead of racing
-// duplicates.
+// Thread-safety: all methods are safe to call concurrently. Sampling
+// runs outside the cache lock, so one database's build never stalls
+// another's hits; two concurrent first misses of one (database, epoch)
+// may both sample, and the cache keeps one.
 #ifndef TOPKJOIN_STATS_ESTIMATOR_CACHE_H_
 #define TOPKJOIN_STATS_ESTIMATOR_CACHE_H_
 
-#include <cstdint>
-#include <list>
+#include <cstddef>
 #include <memory>
 
 #include "src/data/database.h"
+#include "src/data/versioned_cache.h"
 #include "src/stats/cardinality_estimator.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace topkjoin {
 
 class EstimatorCache {
  public:
-  explicit EstimatorCache(size_t capacity = 4) : capacity_(capacity) {}
+  explicit EstimatorCache(size_t capacity = 4)
+      : cache_("stats.estimator_cache", capacity) {}
 
   /// The estimator for `db` at its current snapshot; builds (or
   /// patches) one when the cached entry is missing or stale. The
   /// returned shared_ptr keeps the snapshot it was built over alive,
   /// so it stays valid after the cache moves on AND after the live
   /// database mutates.
-  std::shared_ptr<const CardinalityEstimator> For(const Database& db)
-      EXCLUDES(mu_);
+  std::shared_ptr<const CardinalityEstimator> For(const Database& db);
 
   /// Same, for a caller that already pinned a snapshot of `db` (the
   /// serving layer pins exactly one snapshot per OpenCursor and keys
   /// every cache on its epoch).
   std::shared_ptr<const CardinalityEstimator> For(
-      const Database& db, std::shared_ptr<const DatabaseSnapshot> snap)
-      EXCLUDES(mu_);
+      const Database& db, std::shared_ptr<const DatabaseSnapshot> snap);
 
-  /// Drops the entry if it belongs to `db` (e.g. before freeing the
-  /// database).
-  void Invalidate(const Database* db) EXCLUDES(mu_);
+  /// Drops the entry for `db` (e.g. before freeing the database).
+  void InvalidateDatabase(const Database* db) {
+    cache_.InvalidateDatabase(db);
+  }
 
-  /// Lifetime counters (also exported as stats.estimator_cache_* /
-  /// stats.estimator_patches metrics; these stay available with
-  /// metrics compiled out).
-  size_t NumBuilds() const EXCLUDES(mu_);
-  size_t NumPatches() const EXCLUDES(mu_);
+  /// Lifetime counters; available with metrics compiled out.
+  VersionedCacheStats stats() const { return cache_.stats(); }
 
  private:
-  /// Keeps the snapshot alive for as long as anyone holds the
-  /// estimator (entries return aliased shared_ptrs into this).
-  struct Pinned {
-    std::shared_ptr<const DatabaseSnapshot> snap;
-    std::shared_ptr<const CardinalityEstimator> est;
-  };
-  struct Entry {
-    const Database* db = nullptr;
-    uint64_t epoch = 0;
-    std::shared_ptr<const CardinalityEstimator> est;  // aliased into Pinned
-  };
-
-  static std::shared_ptr<const CardinalityEstimator> Alias(
-      std::shared_ptr<const DatabaseSnapshot> snap,
-      std::shared_ptr<const CardinalityEstimator> est);
-
-  mutable Mutex mu_;
-  size_t capacity_;
-  std::list<Entry> entries_ GUARDED_BY(mu_);  // most recently used first
-  size_t builds_ GUARDED_BY(mu_) = 0;
-  size_t patches_ GUARDED_BY(mu_) = 0;
+  VersionedCache<CardinalityEstimator> cache_;
 };
 
 }  // namespace topkjoin

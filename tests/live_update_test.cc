@@ -11,14 +11,16 @@
 #include "src/anyk/artifact.h"
 #include "src/data/database.h"
 #include "src/data/delta.h"
+#include "src/data/versioned_cache.h"
 #include "src/ranking/cost_model.h"
-#include "src/serving/artifact_cache.h"
+#include "src/serving/plan_cache.h"
 #include "tests/test_instances.h"
 
 namespace topkjoin {
 namespace {
 
 using testing_fixtures::Instance;
+using testing_fixtures::JoiningDelta;
 using testing_fixtures::MakePathInstance;
 
 // Every result's full cost, in stream order. Scalar dioids yield
@@ -35,25 +37,6 @@ std::vector<std::vector<double>> DrainCosts(const PreprocessingArtifact& a) {
     }
   }
   return out;
-}
-
-// A delta that certainly survives patching: duplicates of one fully
-// joining assignment, so every appended tuple's join keys are already
-// interned in the base T-DP's group indexes.
-Delta JoiningDelta(const Instance& t, double weight_bump) {
-  const Relation out = NestedLoopJoin(t.db, t.query);
-  EXPECT_GT(out.NumTuples(), 0u);
-  const std::span<const Value> a = out.Tuple(0);
-  Delta delta;
-  for (size_t i = 0; i < t.query.NumAtoms(); ++i) {
-    const auto& atom = t.query.atom(i);
-    std::vector<Value> tuple;
-    for (VarId v : atom.vars) tuple.push_back(a[static_cast<size_t>(v)]);
-    RelationDelta& rd = delta.ForRelation(atom.relation);
-    rd.values.insert(rd.values.end(), tuple.begin(), tuple.end());
-    rd.weights.push_back(weight_bump);
-  }
-  return delta;
 }
 
 template <typename CM>
@@ -223,31 +206,47 @@ TEST(LiveUpdateTest, PatchRefusedWhenDeltasDescribeRowsBeyondView) {
 // view (duplicate results) -- and neither its lookup nor its own
 // build's Insert may displace the newer entry.
 TEST(LiveUpdateTest, ArtifactCacheKeepsNewerEntryOnOlderEpochLookup) {
+  using Artifact = std::shared_ptr<const PreprocessingArtifact>;
   Instance t = MakePathInstance(3, 60, 8, 7);
-  const uint64_t old_epoch = t.db.version();
-  auto old_art =
+  const auto old_snap = t.db.Snapshot();
+  Artifact old_art =
       MakeTreeArtifact<SumCost>(t.db, t.query, AnyKAlgorithm::kPartLazy,
                                 nullptr);
   ASSERT_TRUE(t.db.ApplyDelta(JoiningDelta(t, 0.5)).ok());
-  const uint64_t new_epoch = t.db.version();
-  auto new_art =
-      MakeTreeArtifact<SumCost>(t.db.Snapshot()->view(), t.query,
-                                AnyKAlgorithm::kPartLazy, nullptr);
+  const auto new_snap = t.db.Snapshot();
+  Artifact new_art = MakeTreeArtifact<SumCost>(
+      new_snap->view(), t.query, AnyKAlgorithm::kPartLazy, nullptr);
 
-  ArtifactCache cache(/*capacity=*/4);
-  const auto key = PlanCache::Make(t.db, t.query, {}, {});
-  cache.Insert(key, new_epoch, new_art);
+  VersionedCache<PreprocessingArtifact> cache("test.artifact_cache",
+                                              /*capacity=*/4);
+  const auto key = PlanFingerprint(t.db, t.query, {}, {});
+  bool patched = false;
+  auto patch = [&patched](const Artifact&, const std::vector<AppendDelta>&) {
+    patched = true;
+    return Artifact();
+  };
+  auto build = [](Artifact art) {
+    return [art]() -> StatusOr<Artifact> { return art; };
+  };
+  // The racing open caches its artifact at the newer epoch.
+  ASSERT_TRUE(
+      cache.GetOrBuild(key, t.db, *new_snap, patch, build(new_art)).ok());
 
-  const auto res = cache.LookupForPatch(key, old_epoch);
-  EXPECT_EQ(res.artifact, nullptr);
-  EXPECT_FALSE(res.fresh);
+  const auto res =
+      cache.GetOrBuild(key, t.db, *old_snap, patch, build(old_art));
+  ASSERT_TRUE(res.ok());
+  EXPECT_FALSE(patched);  // the newer entry is never patch input
+  EXPECT_EQ(res.value().outcome, CacheOutcome::kBuilt);
+  EXPECT_EQ(res.value().value, old_art);
   EXPECT_EQ(cache.stats().invalidations, 0u);
   EXPECT_EQ(cache.stats().entries, 1u);
 
-  cache.Insert(key, old_epoch, old_art);  // must not downgrade
-  const auto live = cache.LookupForPatch(key, new_epoch);
-  EXPECT_TRUE(live.fresh);
-  EXPECT_EQ(live.artifact, new_art);
+  // The older build's insert did not downgrade the entry.
+  const auto live =
+      cache.GetOrBuild(key, t.db, *new_snap, patch, build(nullptr));
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live.value().outcome, CacheOutcome::kHit);
+  EXPECT_EQ(live.value().value, new_art);
 }
 
 TEST(LiveUpdateTest, BatchArtifactRefusesPatch) {

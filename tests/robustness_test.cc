@@ -35,7 +35,9 @@ namespace topkjoin {
 namespace {
 
 using testing_fixtures::Instance;
+using testing_fixtures::JoiningDelta;
 using testing_fixtures::MakePathInstance;
+using testing_fixtures::OracleSortedCosts;
 
 std::chrono::steady_clock::time_point PastDeadline() {
   return std::chrono::steady_clock::now() - std::chrono::seconds(1);
@@ -566,6 +568,35 @@ TEST_F(FailpointTest, InsertFaultsDegradeToCacheMisses) {
   ASSERT_TRUE(engine.OpenCursor(session, t.db, t.query).ok());
   EXPECT_EQ(engine.NumPlansComputed(), 2u);
   EXPECT_EQ(engine.NumArtifactsBuilt(), 2u);
+}
+
+// An injected patch failure degrades to the rebuild a refused refold
+// takes: the warm open after a patchable delta builds instead, and the
+// stream is still exact.
+TEST_F(FailpointTest, InjectedArtifactPatchFaultRebuilds) {
+  if (!kFailpointsEnabled) GTEST_SKIP() << "failpoints compiled out";
+  auto& registry = FailpointRegistry::Global();
+  registry.Arm("serving.artifact.patch", FailpointSpec{});
+  ServingEngine engine(InlineOptions());
+  Instance t = MakePathInstance(3, 40, 4, 7);
+  const SessionId session = engine.OpenSession();
+  ASSERT_TRUE(engine.OpenCursor(session, t.db, t.query).ok());
+
+  ASSERT_TRUE(t.db.ApplyDelta(JoiningDelta(t, 0.375)).ok());
+  const std::vector<double> want = OracleSortedCosts(t);
+  auto warm = engine.OpenCursor(session, t.db, t.query);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(registry.hits("serving.artifact.patch"), 1u);
+  EXPECT_EQ(engine.NumArtifactsBuilt(), 2u);
+  EXPECT_EQ(engine.NumArtifactsPatched(), 0u);
+  auto outcome = engine.Fetch(warm.value(), SIZE_MAX);
+  ASSERT_TRUE(outcome.ok());
+  std::vector<double> got;
+  for (const RankedResult& r : outcome.value().results) got.push_back(r.cost);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9) << "rank " << i;
+  }
 }
 
 TEST_F(FailpointTest, CancelLandsOnParkedSlice) {

@@ -34,6 +34,7 @@ namespace topkjoin {
 namespace {
 
 using testing_fixtures::Instance;
+using testing_fixtures::JoiningDelta;
 using testing_fixtures::MakePathInstance;
 using testing_fixtures::MakeStarInstance;
 using testing_fixtures::OracleSortedCosts;
@@ -846,48 +847,84 @@ TEST(ServingStressTest, ConcurrentBudgetedSessionsNeverOverspend) {
 
 // ------------------------------------------------------------ plan cache
 
+// Drives a PlanCache the way OpenCursor does, with the retag patch
+// rule. Lookup's build fails, so a miss leaves the cache as it found
+// it; Insert's build yields `plan`.
+std::shared_ptr<const QueryPlan> Lookup(PlanCache& cache, const CacheKey& key,
+                                        const Database& db,
+                                        const DatabaseSnapshot& snap) {
+  auto got = cache.GetOrBuild(
+      key, db, snap,
+      [&snap](const std::shared_ptr<const QueryPlan>& stale,
+              const std::vector<AppendDelta>& gap) {
+        return RetagPlan(stale, snap.view(), gap);
+      },
+      []() -> StatusOr<std::shared_ptr<const QueryPlan>> {
+        return Status::Error("lookup only");
+      });
+  return got.ok() ? got.value().value : nullptr;
+}
+
+void Insert(PlanCache& cache, const CacheKey& key, const Database& db,
+            const DatabaseSnapshot& snap, const QueryPlan& plan) {
+  auto got = cache.GetOrBuild(
+      key, db, snap,
+      [](const std::shared_ptr<const QueryPlan>&,
+         const std::vector<AppendDelta>&) {
+        return std::shared_ptr<const QueryPlan>();
+      },
+      [&plan]() -> StatusOr<std::shared_ptr<const QueryPlan>> {
+        return std::make_shared<const QueryPlan>(plan);
+      });
+  ASSERT_TRUE(got.ok());
+}
+
 TEST(PlanCacheTest, HitMissInvalidateAndEvict) {
   Instance t = MakePathInstance(3, 30, 4, 5);
-  PlanCache cache(/*capacity=*/2);
+  PlanCache cache("test.plan_cache", /*capacity=*/2);
+  const auto snap = t.db.Snapshot();
 
   QueryPlan plan;
   plan.estimated_output = 77.0;
-  const auto key = PlanCache::Make(t.db, t.query, {}, {});
-  EXPECT_FALSE(cache.Lookup(key, t.db.version()).has_value());  // miss
-  cache.Insert(key, t.db.version(), plan);
-  const auto hit = cache.Lookup(key, t.db.version());
-  ASSERT_TRUE(hit.has_value());
+  const auto key = PlanFingerprint(t.db, t.query, {}, {});
+  EXPECT_EQ(Lookup(cache, key, t.db, *snap), nullptr);  // miss
+  Insert(cache, key, t.db, *snap, plan);
+  const auto hit = Lookup(cache, key, t.db, *snap);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->estimated_output, 77.0);
 
-  // A version bump makes the entry stale: dropped on the next lookup.
-  EXPECT_FALSE(cache.Lookup(key, t.db.version() + 1).has_value());
+  // A barrier version bump makes the entry stale: dropped on the next
+  // lookup.
+  t.db.mutable_relation(t.query.atom(0).relation)->AddTuple({0, 0}, 0.5);
+  const auto bumped = t.db.Snapshot();
+  EXPECT_EQ(Lookup(cache, key, t.db, *bumped), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
 
   // Distinct execution options fingerprint differently; capacity 2
   // evicts the least recently used of three.
-  cache.Insert(key, t.db.version(), plan);
+  Insert(cache, key, t.db, *bumped, plan);
   for (const size_t k : {4u, 9u}) {
     ExecutionOptions opts;
     opts.k = k;
-    cache.Insert(PlanCache::Make(t.db, t.query, {}, opts), t.db.version(),
-                 plan);
+    Insert(cache, PlanFingerprint(t.db, t.query, {}, opts), t.db, *bumped,
+           plan);
   }
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_FALSE(cache.Lookup(key, t.db.version()).has_value());  // evicted
+  EXPECT_EQ(Lookup(cache, key, t.db, *bumped), nullptr);  // evicted
 
   // Rankings fingerprint separately too.
   RankingSpec max_rank;
   max_rank.model = CostModelKind::kMax;
-  EXPECT_FALSE(
-      cache.Lookup(PlanCache::Make(t.db, t.query, max_rank, {}), t.db.version())
-          .has_value());
+  EXPECT_EQ(Lookup(cache, PlanFingerprint(t.db, t.query, max_rank, {}), t.db,
+                   *bumped),
+            nullptr);
 
   // Capacity 0 disables caching outright.
-  PlanCache off(0);
-  off.Insert(key, t.db.version(), plan);
-  EXPECT_FALSE(off.Lookup(key, t.db.version()).has_value());
+  PlanCache off("test.plan_cache", 0);
+  Insert(off, key, t.db, *bumped, plan);
+  EXPECT_EQ(Lookup(off, key, t.db, *bumped), nullptr);
   EXPECT_EQ(off.stats().entries, 0u);
 }
 
@@ -898,20 +935,20 @@ TEST(PlanCacheTest, HitMissInvalidateAndEvict) {
 // patch/evict churn across interleaved epochs.
 TEST(PlanCacheTest, OlderEpochLookupAndInsertKeepNewerEntry) {
   Instance t = MakePathInstance(3, 30, 4, 5);
-  PlanCache cache(/*capacity=*/2);
-  const auto key = PlanCache::Make(t.db, t.query, {}, {});
+  PlanCache cache("test.plan_cache", /*capacity=*/2);
+  const auto key = PlanFingerprint(t.db, t.query, {}, {});
   const auto pinned = t.db.Snapshot();  // the slow open's snapshot
 
   Delta d;
   d.ForRelation(t.query.atom(0).relation).AddTuple({0, 1}, 1.0);
   ASSERT_TRUE(t.db.ApplyDelta(d).ok());
+  const auto live = t.db.Snapshot();
   QueryPlan newer;
   newer.estimated_output = 77.0;
-  cache.Insert(key, t.db.version(), newer);  // racing open wins the slot
+  Insert(cache, key, t.db, *live, newer);  // racing open wins the slot
 
   // Plain miss: neither dropped nor retagged down to the old epoch.
-  EXPECT_FALSE(
-      cache.Lookup(key, pinned->epoch(), &t.db, &pinned->view()).has_value());
+  EXPECT_EQ(Lookup(cache, key, t.db, *pinned), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 0u);
   EXPECT_EQ(cache.stats().patches, 0u);
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -920,9 +957,9 @@ TEST(PlanCacheTest, OlderEpochLookupAndInsertKeepNewerEntry) {
   // must not downgrade the entry.
   QueryPlan older;
   older.estimated_output = 11.0;
-  cache.Insert(key, pinned->epoch(), older);
-  const auto hit = cache.Lookup(key, t.db.version());
-  ASSERT_TRUE(hit.has_value());
+  Insert(cache, key, t.db, *pinned, older);
+  const auto hit = Lookup(cache, key, t.db, *live);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->estimated_output, 77.0);
 }
 
@@ -932,11 +969,11 @@ TEST(PlanCacheTest, OlderEpochLookupAndInsertKeepNewerEntry) {
 // far past the tolerance.
 TEST(PlanCacheTest, RetagJudgesAppendGapAtThePinnedEpoch) {
   Instance t = MakePathInstance(3, 30, 4, 5);
-  PlanCache cache(/*capacity=*/2);
+  PlanCache cache("test.plan_cache", /*capacity=*/2);
   QueryPlan plan;
   plan.estimated_output = 42.0;
-  const auto key = PlanCache::Make(t.db, t.query, {}, {});
-  cache.Insert(key, t.db.version(), plan);
+  const auto key = PlanFingerprint(t.db, t.query, {}, {});
+  Insert(cache, key, t.db, *t.db.Snapshot(), plan);
 
   // One appended row (well within ~10%) up to the pinned epoch...
   Delta small;
@@ -950,9 +987,8 @@ TEST(PlanCacheTest, RetagJudgesAppendGapAtThePinnedEpoch) {
   }
   ASSERT_TRUE(t.db.ApplyDelta(big).ok());
 
-  const auto hit =
-      cache.Lookup(key, pinned->epoch(), &t.db, &pinned->view());
-  ASSERT_TRUE(hit.has_value());
+  const auto hit = Lookup(cache, key, t.db, *pinned);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->estimated_output, 42.0);
   EXPECT_EQ(cache.stats().patches, 1u);
   EXPECT_EQ(cache.stats().invalidations, 0u);
@@ -1612,25 +1648,6 @@ TEST(ServingStressTest, EvictionRacesInFlightFetchOnSharedArtifact) {
 }
 
 // ---------------------------------------------------------- live updates
-
-// One committed append per atom, duplicating a fully joining assignment
-// so every appended tuple's join keys already exist in warm artifacts
-// and the patch path (rather than a rebuild) applies.
-Delta JoiningDelta(const Instance& t, double weight) {
-  const Relation out = NestedLoopJoin(t.db, t.query);
-  EXPECT_GT(out.NumTuples(), 0u);
-  const std::span<const Value> a = out.Tuple(0);
-  Delta delta;
-  for (size_t i = 0; i < t.query.NumAtoms(); ++i) {
-    const auto& atom = t.query.atom(i);
-    RelationDelta& rd = delta.ForRelation(atom.relation);
-    for (VarId v : atom.vars) {
-      rd.values.push_back(a[static_cast<size_t>(v)]);
-    }
-    rd.weights.push_back(weight);
-  }
-  return delta;
-}
 
 // The patch-or-evict acceptance pin: after ApplyDelta, a warm open
 // salvages BOTH cached layers -- the plan is retagged in place (within

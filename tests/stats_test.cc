@@ -415,8 +415,8 @@ TEST(EstimatorCacheTest, KeyedLruServesTwoDatabasesWithoutThrash) {
   cache.For(a.db);
   cache.For(b.db);
   cache.For(a.db);
-  EXPECT_EQ(cache.NumBuilds(), 2u);
-  EXPECT_EQ(cache.NumPatches(), 0u);
+  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.stats().patches, 0u);
 }
 
 TEST(EstimatorCacheTest, AppendDeltaPatchesInsteadOfRebuilding) {
@@ -428,7 +428,7 @@ TEST(EstimatorCacheTest, AppendDeltaPatchesInsteadOfRebuilding) {
 
   EstimatorCache cache;
   const auto before = cache.For(db);
-  EXPECT_EQ(cache.NumBuilds(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_DOUBLE_EQ(before->EstimateOutput(q), 300.0);
 
   Delta d;
@@ -438,8 +438,8 @@ TEST(EstimatorCacheTest, AppendDeltaPatchesInsteadOfRebuilding) {
   // Covered gap: the stale estimator is copied + extended, not rebuilt,
   // and the patched copy sees the appended rows.
   const auto after = cache.For(db);
-  EXPECT_EQ(cache.NumBuilds(), 1u);
-  EXPECT_EQ(cache.NumPatches(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
+  EXPECT_EQ(cache.stats().patches, 1u);
   EXPECT_DOUBLE_EQ(after->EstimateOutput(q), 310.0);
   // The pre-delta estimator still serves its pinned snapshot.
   EXPECT_DOUBLE_EQ(before->EstimateOutput(q), 300.0);
@@ -447,8 +447,8 @@ TEST(EstimatorCacheTest, AppendDeltaPatchesInsteadOfRebuilding) {
   // A barrier mutation clears the log: next For() is a full rebuild.
   db.mutable_relation(e)->DeduplicateKeepLightest();
   cache.For(db);
-  EXPECT_EQ(cache.NumBuilds(), 2u);
-  EXPECT_EQ(cache.NumPatches(), 1u);
+  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.stats().patches, 1u);
 }
 
 // The epoch-regression race: a request pins its snapshot, a delta
@@ -471,19 +471,19 @@ TEST(EstimatorCacheTest, OlderSnapshotNeverRegressesNewerEntry) {
 
   EstimatorCache cache;
   const auto fresh = cache.For(db);  // the racing request wins the slot
-  EXPECT_EQ(cache.NumBuilds(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_DOUBLE_EQ(fresh->EstimateOutput(q), 310.0);
 
   // The pinned-snapshot request gets a one-off estimator over its own
   // epoch's data -- no abort, no patch, newer entry untouched.
   const auto old_est = cache.For(db, pinned);
   EXPECT_DOUBLE_EQ(old_est->EstimateOutput(q), 300.0);
-  EXPECT_EQ(cache.NumBuilds(), 2u);
-  EXPECT_EQ(cache.NumPatches(), 0u);
+  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.stats().patches, 0u);
 
   // The cached entry still serves the live epoch as a plain hit.
   const auto live = cache.For(db);
-  EXPECT_EQ(cache.NumBuilds(), 2u);
+  EXPECT_EQ(cache.stats().builds, 2u);
   EXPECT_DOUBLE_EQ(live->EstimateOutput(q), 310.0);
 }
 
@@ -499,7 +499,7 @@ TEST(EstimatorCacheTest, PatchStopsAtThePinnedIntermediateEpoch) {
 
   EstimatorCache cache;
   cache.For(db);  // entry at the base epoch
-  EXPECT_EQ(cache.NumBuilds(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
 
   Delta d1;
   for (int i = 0; i < 10; ++i) d1.ForRelation(e).AddTuple({i, i}, 0.5);
@@ -510,8 +510,8 @@ TEST(EstimatorCacheTest, PatchStopsAtThePinnedIntermediateEpoch) {
   ASSERT_TRUE(db.ApplyDelta(d2).ok());  // live epoch: 320 rows
 
   const auto est = cache.For(db, pinned);
-  EXPECT_EQ(cache.NumBuilds(), 1u);
-  EXPECT_EQ(cache.NumPatches(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
+  EXPECT_EQ(cache.stats().patches, 1u);
   EXPECT_DOUBLE_EQ(est->EstimateOutput(q), 310.0);
 }
 

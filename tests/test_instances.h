@@ -1,16 +1,20 @@
 // Shared test fixtures: the standard small random instances (path,
-// star, triangle, 4-cycle) and the join-then-sort cost oracle used by
-// the engine and serving test suites.
+// star, triangle, 4-cycle), the join-then-sort cost oracle, and a
+// patchable append delta, used by the engine and serving test suites.
 #ifndef TOPKJOIN_TESTS_TEST_INSTANCES_H_
 #define TOPKJOIN_TESTS_TEST_INSTANCES_H_
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "src/anyk/ranked_iterator.h"
 #include "src/cycles/fourcycle.h"
+#include "src/data/delta.h"
 #include "src/data/generators.h"
 #include "src/join/nested_loop.h"
 #include "src/query/cq.h"
@@ -90,6 +94,24 @@ inline std::vector<double> OracleSortedCosts(const Instance& t) {
   }
   std::sort(costs.begin(), costs.end());
   return costs;
+}
+
+// One committed append per atom, duplicating a fully joining
+// assignment, so every appended tuple's join keys already exist in a
+// warm artifact's group indexes and patching (rather than a rebuild)
+// applies.
+inline Delta JoiningDelta(const Instance& t, double weight) {
+  const Relation out = NestedLoopJoin(t.db, t.query);
+  EXPECT_GT(out.NumTuples(), 0u);
+  const std::span<const Value> a = out.Tuple(0);
+  Delta delta;
+  for (size_t i = 0; i < t.query.NumAtoms(); ++i) {
+    const auto& atom = t.query.atom(i);
+    RelationDelta& rd = delta.ForRelation(atom.relation);
+    for (VarId v : atom.vars) rd.values.push_back(a[static_cast<size_t>(v)]);
+    rd.weights.push_back(weight);
+  }
+  return delta;
 }
 
 }  // namespace testing_fixtures
