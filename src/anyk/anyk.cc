@@ -23,34 +23,6 @@ const char* AnyKAlgorithmName(AnyKAlgorithm algorithm) {
   return "unknown";
 }
 
-const char* AnyKPartVariantName(AnyKPartVariant variant) {
-  switch (variant) {
-    case AnyKPartVariant::kEager:
-      return "eager";
-    case AnyKPartVariant::kLazy:
-      return "lazy";
-    case AnyKPartVariant::kTake2:
-      return "take2";
-    case AnyKPartVariant::kMemoized:
-      return "memoized";
-  }
-  return "unknown";
-}
-
-AnyKAlgorithm AlgorithmForVariant(AnyKPartVariant variant) {
-  switch (variant) {
-    case AnyKPartVariant::kEager:
-      return AnyKAlgorithm::kPartEager;
-    case AnyKPartVariant::kLazy:
-      return AnyKAlgorithm::kPartLazy;
-    case AnyKPartVariant::kTake2:
-      return AnyKAlgorithm::kPartTake2;
-    case AnyKPartVariant::kMemoized:
-      return AnyKAlgorithm::kPartMemoized;
-  }
-  return AnyKAlgorithm::kPartTake2;
-}
-
 std::unique_ptr<RankedIterator> MakeAnyK(const Database& db,
                                          const ConjunctiveQuery& query,
                                          AnyKAlgorithm algorithm,

@@ -32,16 +32,6 @@ enum class AnyKAlgorithm {
 
 const char* AnyKAlgorithmName(AnyKAlgorithm algorithm);
 
-/// The ANYK-PART successor/sorting variant menu, as a caller-facing
-/// knob (ExecutionOptions::anyk_variant): selects among the kPart*
-/// algorithms without overriding the planner's any-k vs batch routing.
-enum class AnyKPartVariant { kEager, kLazy, kTake2, kMemoized };
-
-const char* AnyKPartVariantName(AnyKPartVariant variant);
-
-/// The kPart* algorithm implementing a variant.
-AnyKAlgorithm AlgorithmForVariant(AnyKPartVariant variant);
-
 /// Builds the T-DP (full reducer + DP + candidate lists) and wraps the
 /// chosen algorithm: MakeTreeArtifact<SumCost>(...)->NewStream(). The
 /// query must be acyclic (CHECK-failed otherwise); preprocessing cost is

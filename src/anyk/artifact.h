@@ -99,18 +99,13 @@ class PreprocessingArtifact
 /// Tdp directly (reference replays, tests) is not counted as a build.
 template <typename CM>
 void RecordTdpBuild(const Tdp<CM>& tdp, FastClock::Ticks build_start) {
-  if constexpr (kMetricsEnabled) {
-    auto& registry = MetricsRegistry::Global();
-    registry.GetHistogram("tdp.build_ns")
-        ->RecordTicksAsNs(FastClock::Now() - build_start);
-    registry.GetHistogram("tdp.arena_bytes")->Record(tdp.ApproxBytes());
-    registry.GetHistogram("tdp.groups")->Record(tdp.NumGroups());
-    registry.GetCounter("tdp.builds")->Increment();
-    registry.GetCounter("anyk.preprocessing_builds")->Increment();
-  } else {
-    (void)tdp;
-    (void)build_start;
-  }
+  auto& registry = MetricsRegistry::Global();
+  registry.GetHistogram("tdp.build_ns")
+      ->RecordTicksAsNs(FastClock::Now() - build_start);
+  registry.GetHistogram("tdp.arena_bytes")->Record(tdp.ApproxBytes());
+  registry.GetHistogram("tdp.groups")->Record(tdp.NumGroups());
+  registry.GetCounter("tdp.builds")->Increment();
+  registry.GetCounter("anyk.preprocessing_builds")->Increment();
 }
 
 /// One enumeration over a shared tree artifact: the algorithm (with its
@@ -185,12 +180,10 @@ class TreeArtifact final : public PreprocessingArtifact {
     if (!*ok) return;
     tdp_ = std::move(*patched);
     patched_ = true;
-    if constexpr (kMetricsEnabled) {
-      auto& registry = MetricsRegistry::Global();
-      registry.GetHistogram("tdp.patch_ns")
-          ->RecordTicksAsNs(FastClock::Now() - build_start_);
-      registry.GetCounter("tdp.patches")->Increment();
-    }
+    auto& registry = MetricsRegistry::Global();
+    registry.GetHistogram("tdp.patch_ns")
+        ->RecordTicksAsNs(FastClock::Now() - build_start_);
+    registry.GetCounter("tdp.patches")->Increment();
   }
 
   std::unique_ptr<RankedIterator> NewStream() const override {

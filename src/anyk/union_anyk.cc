@@ -1,9 +1,6 @@
 #include "src/anyk/union_anyk.h"
 
-#include <unordered_set>
 #include <utility>
-
-#include "src/util/hash.h"
 
 namespace topkjoin {
 
@@ -23,8 +20,6 @@ struct UnionAnyK::Impl {
 
   std::vector<std::unique_ptr<RankedIterator>> inputs;
   std::priority_queue<Head, std::vector<Head>, HeadOrder> heads;
-  bool deduplicate = false;
-  std::unordered_set<ValueKey, ValueKeyHash> seen;
 
   void Refill(size_t source) {
     auto r = inputs[source]->Next();
@@ -34,11 +29,9 @@ struct UnionAnyK::Impl {
   }
 };
 
-UnionAnyK::UnionAnyK(std::vector<std::unique_ptr<RankedIterator>> inputs,
-                     bool deduplicate)
+UnionAnyK::UnionAnyK(std::vector<std::unique_ptr<RankedIterator>> inputs)
     : impl_(std::make_unique<Impl>()) {
   impl_->inputs = std::move(inputs);
-  impl_->deduplicate = deduplicate;
   for (size_t i = 0; i < impl_->inputs.size(); ++i) impl_->Refill(i);
 }
 
@@ -50,18 +43,23 @@ int64_t UnionAnyK::WorkUnits() const {
   return total;
 }
 
-std::optional<RankedResult> UnionAnyK::Next() {
-  while (!impl_->heads.empty()) {
-    Impl::Head head = impl_->heads.top();
-    impl_->heads.pop();
-    impl_->Refill(head.source);
-    if (impl_->deduplicate) {
-      ValueKey key{head.result.assignment};
-      if (!impl_->seen.insert(std::move(key)).second) continue;
-    }
-    return std::move(head.result);
+PipelineCounters UnionAnyK::Counters() const {
+  PipelineCounters total;
+  for (const auto& input : impl_->inputs) {
+    const PipelineCounters c = input->Counters();
+    total.frontier_pushes += c.frontier_pushes;
+    total.heap_extractions += c.heap_extractions;
+    total.candidate_pool_bytes += c.candidate_pool_bytes;
   }
-  return std::nullopt;
+  return total;
+}
+
+std::optional<RankedResult> UnionAnyK::Next() {
+  if (impl_->heads.empty()) return std::nullopt;
+  Impl::Head head = impl_->heads.top();
+  impl_->heads.pop();
+  impl_->Refill(head.source);
+  return std::move(head.result);
 }
 
 }  // namespace topkjoin

@@ -15,14 +15,12 @@
 
 namespace topkjoin {
 
-/// K-way merge of ranked iterators by cost. When the inputs partition
-/// the result space (as the 4-cycle case plans do), no deduplication is
-/// needed; otherwise enable `deduplicate` to drop repeated assignments
-/// (kept in a hash set -- O(#emitted) extra space).
+/// K-way merge of ranked iterators by cost. The inputs must partition
+/// the result space (as the 4-cycle case plans do): an assignment two
+/// inputs both emit is emitted twice.
 class UnionAnyK : public RankedIterator {
  public:
-  explicit UnionAnyK(std::vector<std::unique_ptr<RankedIterator>> inputs,
-                     bool deduplicate = false);
+  explicit UnionAnyK(std::vector<std::unique_ptr<RankedIterator>> inputs);
   ~UnionAnyK() override;
 
   std::optional<RankedResult> Next() override;
@@ -30,6 +28,10 @@ class UnionAnyK : public RankedIterator {
   /// Sum of the inputs' work counters (the merge heap's own O(log
   /// #inputs) per result is a constant for a fixed decomposition).
   int64_t WorkUnits() const override;
+
+  /// Fieldwise sum of the inputs' counters. The inputs are live at
+  /// once, so the summed candidate_pool_bytes peaks bound the union's.
+  PipelineCounters Counters() const override;
 
  private:
   struct Impl;

@@ -105,10 +105,8 @@ MutableRelationRef::~MutableRelationRef() {
 }
 
 Status Database::ApplyDelta(const Delta& delta) {
-  ScopedTimer timer(kMetricsEnabled
-                        ? MetricsRegistry::Global().GetHistogram(
-                              "data.delta_apply_ns")
-                        : nullptr);
+  ScopedTimer timer(
+      MetricsRegistry::Global().GetHistogram("data.delta_apply_ns"));
   // The failpoint sits BEFORE the commit: an injected error is a clean
   // pre-commit abort (database untouched, same contract as validation
   // failure), and an injected delay stretches the window in which
@@ -149,10 +147,8 @@ Status Database::ApplyDelta(const Delta& delta) {
   }
   TrimLogLocked();
   PublishLocked(new_version);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("data.deltas_applied")->Increment();
-    MetricsRegistry::Global().GetCounter("data.delta_rows")->Add(total_rows);
-  }
+  MetricsRegistry::Global().GetCounter("data.deltas_applied")->Increment();
+  MetricsRegistry::Global().GetCounter("data.delta_rows")->Add(total_rows);
   return Status::Ok();
 }
 

@@ -108,14 +108,13 @@ class VersionedCache {
   /// the insert failpoint (<name>.insert): an injected insert fault
   /// leaves the request served but its value uncached.
   VersionedCache(const std::string& name, size_t capacity)
-      : capacity_(capacity), insert_failpoint_(name + ".insert") {
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      hits_counter_ = registry.GetCounter(name + "_hits");
-      misses_counter_ = registry.GetCounter(name + "_misses");
-      patches_counter_ = registry.GetCounter(name + "_patches");
-    }
-  }
+      : capacity_(capacity),
+        insert_failpoint_(name + ".insert"),
+        hits_counter_(MetricsRegistry::Global().GetCounter(name + "_hits")),
+        misses_counter_(
+            MetricsRegistry::Global().GetCounter(name + "_misses")),
+        patches_counter_(
+            MetricsRegistry::Global().GetCounter(name + "_patches")) {}
 
   VersionedCache(const VersionedCache&) = delete;
   VersionedCache& operator=(const VersionedCache&) = delete;
@@ -139,7 +138,7 @@ class VersionedCache {
       if (it != index_.end() && it->second->epoch == epoch) {
         lru_.splice(lru_.begin(), lru_, it->second);
         ++stats_.hits;
-        Count(hits_counter_);
+        hits_counter_->Increment();
         return Result{it->second->value, CacheOutcome::kHit};
       }
       if (it != index_.end() && it->second->epoch < epoch) {
@@ -149,7 +148,7 @@ class VersionedCache {
       }
       ++stats_.misses;
     }
-    Count(misses_counter_);
+    misses_counter_->Increment();
 
     Result result;
     if (stale != nullptr) {
@@ -166,7 +165,7 @@ class VersionedCache {
     }
     if (result.value != nullptr) {
       result.outcome = CacheOutcome::kPatched;
-      Count(patches_counter_);
+      patches_counter_->Increment();
     } else {
       StatusOr<Value> built = build();
       if (!built.ok()) {
@@ -218,11 +217,6 @@ class VersionedCache {
     }
   };
 
-  /// Counters stay null in metrics-off builds.
-  static void Count(Counter* counter) {
-    if (counter != nullptr) counter->Increment();
-  }
-
   /// Books a finished miss and inserts its value (nullptr: the build
   /// failed, nothing to insert). `had_stale`: a stale entry was taken
   /// out for it, which a build means was dropped unsalvaged.
@@ -271,9 +265,9 @@ class VersionedCache {
 
   const size_t capacity_;
   const std::string insert_failpoint_;
-  Counter* hits_counter_ = nullptr;
-  Counter* misses_counter_ = nullptr;
-  Counter* patches_counter_ = nullptr;
+  Counter* const hits_counter_;
+  Counter* const misses_counter_;
+  Counter* const patches_counter_;
 
   mutable Mutex mu_;
   LruList lru_ GUARDED_BY(mu_);  // front = most recently used

@@ -84,7 +84,8 @@ CursorState Cursor::PollTermination() {
   return state();
 }
 
-std::optional<RankedResult> Cursor::Next() {
+std::optional<RankedResult> Cursor::Next(size_t* units_charged) {
+  if (units_charged != nullptr) *units_charged = 0;
   if (state() != CursorState::kActive) return std::nullopt;
   if (CheckTermination(/*force_clock=*/false)) return std::nullopt;
   if (options_.result_budget.has_value() &&
@@ -101,13 +102,14 @@ std::optional<RankedResult> Cursor::Next() {
   // WorkUnits delta), with a one-unit floor: exhaustion probes and
   // uninstrumented pipelines (WorkUnits() == 0 forever) still pay for
   // the pull itself, which also guarantees forward progress against
-  // the budget. The charge is at least 1, so callers can detect
-  // "no pull happened" via an unchanged work_used().
+  // the budget. The charge is at least 1, so a zero *units_charged
+  // means "no pull happened".
   const int64_t units_before = pipeline_->WorkUnits();
   auto result = pipeline_->Next();
   const int64_t delta = pipeline_->WorkUnits() - units_before;
-  work_used_.fetch_add(delta > 1 ? static_cast<size_t>(delta) : size_t{1},
-                       std::memory_order_relaxed);
+  const size_t units = delta > 1 ? static_cast<size_t>(delta) : size_t{1};
+  work_used_.fetch_add(units, std::memory_order_relaxed);
+  if (units_charged != nullptr) *units_charged = units;
   if (!result.has_value()) {
     state_.store(CursorState::kExhausted, std::memory_order_relaxed);
     return std::nullopt;

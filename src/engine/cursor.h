@@ -81,8 +81,11 @@ class Cursor {
   ~Cursor();
 
   /// Pulls the next result, or nullopt when the stream is exhausted or a
-  /// budget is hit (inspect state() to distinguish).
-  std::optional<RankedResult> Next();
+  /// budget is hit (inspect state() to distinguish). When given,
+  /// `*units_charged` receives the work units this call added to
+  /// work_used(): at least 1 when the pipeline was pulled, 0 when the
+  /// cursor was already stopped and nothing was pulled.
+  std::optional<RankedResult> Next(size_t* units_charged = nullptr);
 
   /// Pulls up to `max_results` results in rank order. A shorter (or
   /// empty) slice means exhaustion or a budget stop, never a skip:
@@ -127,14 +130,6 @@ class Cursor {
   size_t work_used() const {
     return work_used_.load(std::memory_order_relaxed);
   }
-
-  /// The pipeline's own monotone RAM-model work counter (heap
-  /// extractions + priority-queue pushes; see RankedIterator). This is
-  /// what the serving layer charges session work budgets with --
-  /// work-proportional spend, unlike the cursor-level `work_used`
-  /// pull counter. Mutator-serialized: call only while holding the
-  /// cursor's external lock (it reads pipeline state).
-  int64_t pipeline_work_units() const { return pipeline_->WorkUnits(); }
 
   /// Serving-layer scratch: session work units a past pull performed
   /// but could not reserve (the session went dry mid-pull). The next

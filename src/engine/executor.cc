@@ -72,27 +72,20 @@ StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifactInner(
 StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifact(
     const Database& db, const ConjunctiveQuery& query, const QueryPlan& plan,
     JoinStats* stats) {
-  if constexpr (!kMetricsEnabled) {
-    return BuildArtifactInner(db, query, plan, stats);
-  } else {
-    const FastClock::Ticks start = FastClock::Now();
-    auto artifact = BuildArtifactInner(db, query, plan, stats);
-    if (!artifact.ok()) return artifact;
-    MetricsRegistry::Global()
-        .GetHistogram("executor.compile_ns")
-        ->Record(FastClock::TicksToNs(FastClock::Now() - start));
-    return artifact;
-  }
+  const FastClock::Ticks start = FastClock::Now();
+  auto artifact = BuildArtifactInner(db, query, plan, stats);
+  if (!artifact.ok()) return artifact;
+  MetricsRegistry::Global()
+      .GetHistogram("executor.compile_ns")
+      ->Record(FastClock::TicksToNs(FastClock::Now() - start));
+  return artifact;
 }
 
 std::unique_ptr<RankedIterator> NewEnumeration(
     const PreprocessingArtifact& artifact, const QueryPlan& plan,
     std::shared_ptr<QueryTrace> trace) {
   auto inner = artifact.NewStream();
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("executor.pipelines")->Increment();
-  }
-  if (!kMetricsEnabled && trace == nullptr) return inner;
+  MetricsRegistry::Global().GetCounter("executor.pipelines")->Increment();
   if (trace != nullptr) {
     trace->strategy = std::string(PlanStrategyName(plan.strategy)) + "/" +
                       AnyKAlgorithmName(plan.algorithm);

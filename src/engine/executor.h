@@ -43,9 +43,8 @@ StatusOr<std::shared_ptr<const PreprocessingArtifact>> BuildArtifact(
     JoinStats* stats = nullptr);
 
 /// Mints one enumeration stream over a (possibly cached) artifact: the
-/// cheap per-cursor half. Increments executor.pipelines and, when
-/// metrics are compiled in (kMetricsEnabled) or `trace` is given, wraps
-/// the stream in an InstrumentedIterator that records the per-Next
+/// cheap per-cursor half. Increments executor.pipelines and wraps the
+/// stream in an InstrumentedIterator that records the per-Next
 /// delay histogram / frontier counters and feeds the trace's TTL
 /// milestones; the wrapper also takes shared ownership of `trace`, so
 /// it stays readable after the stream is destroyed. Does NOT add a

@@ -54,27 +54,6 @@ double ResolveAgmBound(const StatusOr<double>& agm, QueryPlan* plan) {
   return std::numeric_limits<double>::infinity();
 }
 
-namespace {
-
-// The ANYK-PART variant to instantiate when the heuristic (or the
-// caller) lands on the PART family: the caller's anyk_variant when
-// given, else Take2 -- the successor strategy with the fewest frontier
-// pushes per result (<= 2 vs ell) and the smallest candidate footprint.
-AnyKAlgorithm ResolvePartVariant(const ExecutionOptions& opts,
-                                 QueryPlan* plan) {
-  if (opts.anyk_variant.has_value()) {
-    Explain(plan, std::string("anyk-part variant selected by caller: ") +
-                      AnyKPartVariantName(*opts.anyk_variant));
-    return AlgorithmForVariant(*opts.anyk_variant);
-  }
-  Explain(plan,
-          "anyk-part variant defaulted to take2 (<= 2 frontier pushes "
-          "per result vs ell for eager/lazy)");
-  return AnyKAlgorithm::kPartTake2;
-}
-
-}  // namespace
-
 // Chooses the per-tree algorithm for an acyclic (sub)plan from the
 // requested k and the output estimate. Section 4 of the paper: any-k
 // wins time-to-first-result, batch-then-sort amortizes best when nearly
@@ -113,7 +92,10 @@ AnyKAlgorithm ChooseTreeAlgorithm(const ExecutionOptions& opts,
     Explain(plan, "k=" + FormatCount(k) +
                       " is small: anyk-part minimizes "
                       "time-to-first-result");
-    return ResolvePartVariant(opts, plan);
+    Explain(plan,
+            "anyk-part variant defaulted to take2 (<= 2 frontier pushes "
+            "per result vs ell for eager/lazy)");
+    return AnyKAlgorithm::kPartTake2;
   }
   Explain(plan, "k=" + FormatCount(k) + " is moderate vs estimated output " +
                     FormatCount(estimated_output) +
@@ -169,18 +151,15 @@ StatusOr<QueryPlan> PlanQuery(const Database& db,
                               const RankingSpec& ranking,
                               const ExecutionOptions& opts,
                               const CardinalityEstimator* estimator) {
-  ScopedTimer plan_timer(kMetricsEnabled ? MetricsRegistry::Global()
-                                               .GetHistogram("planner.plan_ns")
-                                         : nullptr);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("planner.plans")->Increment();
-    if (estimator == nullptr) {
-      // Transient estimator builds are the cost Engine's EstimatorCache
-      // exists to avoid; count the ones that slip through.
-      MetricsRegistry::Global()
-          .GetCounter("planner.transient_estimator_builds")
-          ->Increment();
-    }
+  ScopedTimer plan_timer(
+      MetricsRegistry::Global().GetHistogram("planner.plan_ns"));
+  MetricsRegistry::Global().GetCounter("planner.plans")->Increment();
+  if (estimator == nullptr) {
+    // Transient estimator builds are the cost Engine's EstimatorCache
+    // exists to avoid; count the ones that slip through.
+    MetricsRegistry::Global()
+        .GetCounter("planner.transient_estimator_builds")
+        ->Increment();
   }
   if (query.NumAtoms() == 0) {
     return Status::Error("cannot plan an empty query");

@@ -45,18 +45,11 @@ struct ExecutionOptions {
   std::optional<size_t> k;
   /// Overrides the planner's tree-algorithm heuristic when set.
   std::optional<AnyKAlgorithm> force_algorithm;
-  /// Selects the ANYK-PART successor/sorting variant whenever the
-  /// planner routes to the PART family (it does not override the any-k
-  /// vs batch vs REC routing the way force_algorithm does); recorded in
-  /// the plan rationale and part of the plan-cache fingerprint. Unset:
-  /// the planner's default PART variant (Take2 -- fewest frontier
-  /// pushes per result).
-  std::optional<AnyKPartVariant> anyk_variant;
   /// Attach a QueryTrace (phase timings + per-k TTL milestones, see
   /// src/obs/trace.h) to the execution: ExecutionResult::trace for
   /// Engine::Execute, ServingEngine::GetQueryTrace for cursors. Does
   /// not affect the chosen plan (and is deliberately excluded from the
-  /// plan-cache fingerprint); works even in metrics-off builds.
+  /// plan-cache fingerprint).
   bool collect_trace = false;
   /// Absolute wall deadline for the whole request. Planning and
   /// preprocessing poll it cooperatively (ExecContext) and abort with

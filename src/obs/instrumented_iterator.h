@@ -1,8 +1,7 @@
 // RankedIterator wrapper that records enumeration metrics and feeds
 // the optional QueryTrace. NewEnumeration (engine/executor.h) wraps
-// every stream with this when metrics are compiled in (or a trace was
-// requested), so Engine::Execute streams and serving cursors report
-// identically.
+// every stream with this, so Engine::Execute streams and serving
+// cursors report identically.
 //
 // Overhead discipline: the per-Next cost must stay inside the <5%
 // budget bench_e14 gates, so nothing on the Next path touches a
@@ -82,12 +81,8 @@ class InstrumentedIterator : public RankedIterator {
   // of the sample stride, so landing every event on a sampled pull
   // costs nothing extra; trace milestones add a few off-stride samples.
   std::optional<RankedResult> Next() override {
-    if constexpr (kMetricsEnabled) {
-      if (--countdown_ == 0) [[unlikely]] return EventPull();
-      return NextFast();
-    } else {
-      return NextTraceOnly();
-    }
+    if (--countdown_ == 0) [[unlikely]] return EventPull();
+    return NextFast();
   }
 
   int64_t WorkUnits() const override { return inner_->WorkUnits(); }
@@ -108,22 +103,7 @@ class InstrumentedIterator : public RankedIterator {
     return result;
   }
 
-  // Metrics-off builds still honour an explicitly requested trace.
-  std::optional<RankedResult> NextTraceOnly() {
-    std::optional<RankedResult> result = inner_->Next();
-    if (trace_ != nullptr) {
-      if (result.has_value()) {
-        ++results_;
-        if (results_ == next_milestone_) RecordMilestone(FastClock::Now());
-      } else if (!exhausted_) {
-        exhausted_ = true;
-        UpdateTraceTotals(FastClock::Now());
-      }
-    }
-    return result;
-  }
-
-  // The slow paths are kept out of line so NextRecording's hot frame
+  // The slow paths are kept out of line so Next's hot frame
   // stays lean (inlining them makes GCC spill six callee-saved
   // registers on every pull, a measurable cost at sub-microsecond
   // per-result rates).
@@ -190,7 +170,6 @@ class InstrumentedIterator : public RankedIterator {
   __attribute__((noinline, cold))
 #endif
   void Flush() {
-    if constexpr (!kMetricsEnabled) return;
     local_delay_.DrainInto(*delay_hist_);
     results_counter_->Add(static_cast<int64_t>(results_ - flushed_results_));
     flushed_results_ = results_;

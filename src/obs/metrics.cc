@@ -113,7 +113,6 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 void Histogram::Merge(const LocalHistogram& local) {
-  if constexpr (!kMetricsEnabled) return;
   for (uint32_t i = 0; i < HistogramBuckets::kNumBuckets; ++i) {
     if (local.buckets_[i] != 0) {
       buckets_[i].fetch_add(local.buckets_[i], std::memory_order_relaxed);
@@ -127,7 +126,6 @@ void Histogram::Merge(const LocalHistogram& local) {
 }
 
 void LocalHistogram::DrainInto(Histogram& target) {
-  if constexpr (!kMetricsEnabled) return;
   target.Merge(*this);
   buckets_.fill(0);
   sum_ = 0;

@@ -11,10 +11,6 @@
 //   * Mergeable snapshots: HistogramSnapshot::Merge is bucketwise
 //     addition, so per-iterator local histograms, the global registry,
 //     and cross-process aggregation all compose associatively.
-//   * Compiled out when TOPKJOIN_METRICS=OFF: every Record/Add/Set
-//     becomes an empty inline function behind `kMetricsEnabled`, and
-//     call sites that would pay for a clock read guard on the same
-//     constant, so the disabled build records nothing (tests pin this).
 //
 // Bucket math: values < 2^kSubBucketBits get exact unit buckets; above
 // that, each power-of-two range is split into 2^kSubBucketBits linear
@@ -48,16 +44,7 @@
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
-#ifndef TOPKJOIN_METRICS_ENABLED
-#define TOPKJOIN_METRICS_ENABLED 1
-#endif
-
 namespace topkjoin {
-
-/// True when the build compiles metric recording in (the default).
-/// `-DTOPKJOIN_METRICS=OFF` pins this to false and every recording
-/// entry point below collapses to an empty inline body.
-inline constexpr bool kMetricsEnabled = TOPKJOIN_METRICS_ENABLED != 0;
 
 /// Cheap monotonic clock for hot-path latency measurement: raw TSC on
 /// x86-64, the generic counter on aarch64, steady_clock elsewhere.
@@ -95,11 +82,7 @@ class FastClock {
 class Counter {
  public:
   void Add(int64_t delta) {
-    if constexpr (kMetricsEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -115,28 +98,14 @@ class Counter {
 class Gauge {
  public:
   void Add(int64_t delta) {
-    if constexpr (kMetricsEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  void Set(int64_t v) {
-    if constexpr (kMetricsEnabled) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   /// Lock-free max ratchet (for high-water marks).
   void SetMax(int64_t v) {
-    if constexpr (kMetricsEnabled) {
-      int64_t cur = value_.load(std::memory_order_relaxed);
-      while (cur < v && !value_.compare_exchange_weak(
-                            cur, v, std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)v;
+    int64_t cur = value_.load(std::memory_order_relaxed);
+    while (cur < v && !value_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
     }
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -215,22 +184,18 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void Record(uint64_t v) {
-    if constexpr (kMetricsEnabled) {
-      buckets_[HistogramBuckets::Index(v)].fetch_add(
-          1, std::memory_order_relaxed);
-      sum_.fetch_add(v, std::memory_order_relaxed);
-      uint64_t cur = max_.load(std::memory_order_relaxed);
-      while (cur < v && !max_.compare_exchange_weak(
-                            cur, v, std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)v;
+    buckets_[HistogramBuckets::Index(v)].fetch_add(1,
+                                                   std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+    uint64_t cur = max_.load(std::memory_order_relaxed);
+    while (cur < v && !max_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
     }
   }
 
   /// Records a FastClock tick delta converted to nanoseconds.
   void RecordTicksAsNs(FastClock::Ticks delta) {
-    if constexpr (kMetricsEnabled) Record(FastClock::TicksToNs(delta));
+    Record(FastClock::TicksToNs(delta));
   }
 
   HistogramSnapshot Snapshot() const;
@@ -253,16 +218,12 @@ class Histogram {
 class LocalHistogram {
  public:
   void Record(uint64_t v) {
-    if constexpr (kMetricsEnabled) {
-      ++buckets_[HistogramBuckets::Index(v)];
-      sum_ += v;
-      if (v > max_) max_ = v;
-    } else {
-      (void)v;
-    }
+    ++buckets_[HistogramBuckets::Index(v)];
+    sum_ += v;
+    if (v > max_) max_ = v;
   }
   void RecordTicksAsNs(FastClock::Ticks delta) {
-    if constexpr (kMetricsEnabled) Record(FastClock::TicksToNs(delta));
+    Record(FastClock::TicksToNs(delta));
   }
 
   uint64_t sum() const { return sum_; }
@@ -331,14 +292,10 @@ class MetricsRegistry {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* hist) : hist_(hist) {
-    if constexpr (kMetricsEnabled) {
-      if (hist_ != nullptr) start_ = FastClock::Now();
-    }
+    if (hist_ != nullptr) start_ = FastClock::Now();
   }
   ~ScopedTimer() {
-    if constexpr (kMetricsEnabled) {
-      if (hist_ != nullptr) hist_->RecordTicksAsNs(FastClock::Now() - start_);
-    }
+    if (hist_ != nullptr) hist_->RecordTicksAsNs(FastClock::Now() - start_);
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

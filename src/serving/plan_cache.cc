@@ -32,9 +32,6 @@ CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
   e.push_back(opts.force_algorithm.has_value() ? kPresent : kAbsent);
   e.push_back(static_cast<uint64_t>(
       opts.force_algorithm.value_or(AnyKAlgorithm::kRec)));
-  e.push_back(opts.anyk_variant.has_value() ? kPresent : kAbsent);
-  e.push_back(static_cast<uint64_t>(
-      opts.anyk_variant.value_or(AnyKPartVariant::kTake2)));
   e.push_back(query.NumAtoms());
   for (const Atom& atom : query.atoms()) {
     e.push_back(static_cast<uint64_t>(atom.relation));

@@ -98,7 +98,7 @@ class ServingEngine::InflightGuard {
 
 ServingEngine::ServingEngine(ServingOptions options)
     : options_(options),
-      cursors_(options.num_stripes),
+      cursors_(kCursorStripes),
       plan_cache_("serving.plan_cache", options.plan_cache_capacity),
       artifact_cache_("serving.artifact_cache",
                       options.artifact_cache_capacity),
@@ -172,34 +172,12 @@ size_t ServingEngine::NumOpenSessions() const {
 // --------------------------------------------------------------- cursors
 
 Status ServingEngine::CheckLoadAdmission() {
-  const OverloadPolicy& policy = options_.overload_policy;
-  const auto shed = [this](std::string why) {
-    requests_shed_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (kMetricsEnabled) {
-      MetricsRegistry::Global().GetCounter("serving.requests_shed")
-          ->Increment();
-    }
-    return Status::Unavailable(std::move(why));
-  };
-  if (policy.max_open_cursors != 0 &&
-      cursors_.NumCursors() >= policy.max_open_cursors) {
-    return shed("shed: open-cursor high-water mark (" +
-                std::to_string(policy.max_open_cursors) + ") reached");
-  }
-  if (policy.max_queue_depth != 0 &&
-      pool_.QueueDepth() > policy.max_queue_depth) {
-    return shed("shed: worker backlog above " +
-                std::to_string(policy.max_queue_depth) + " slices");
-  }
-  if (policy.max_budget_debt != 0) {
-    const int64_t debt =
-        MetricsRegistry::Global().GetGauge("serving.budget_debt")->value();
-    if (debt >= policy.max_budget_debt) {
-      return shed("shed: outstanding budget debt " + std::to_string(debt) +
-                  " at or above " + std::to_string(policy.max_budget_debt));
-    }
-  }
-  return Status::Ok();
+  const size_t max_open = options_.overload_policy.max_open_cursors;
+  if (max_open == 0 || cursors_.NumCursors() < max_open) return Status::Ok();
+  requests_shed_.fetch_add(1, std::memory_order_relaxed);
+  MetricsRegistry::Global().GetCounter("serving.requests_shed")->Increment();
+  return Status::Unavailable("shed: open-cursor high-water mark (" +
+                             std::to_string(max_open) + ") reached");
 }
 
 Status ServingEngine::CheckPredictedWorkAdmission(
@@ -220,10 +198,7 @@ Status ServingEngine::CheckPredictedWorkAdmission(
     return Status::Ok();
   }
   requests_shed_.fetch_add(1, std::memory_order_relaxed);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("serving.requests_shed")
-        ->Increment();
-  }
+  MetricsRegistry::Global().GetCounter("serving.requests_shed")->Increment();
   return Status::Unavailable("shed: predicted work exceeds policy limit")
       .WithWorkEstimate(predicted);
 }
@@ -271,9 +246,7 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
   ExecContext::Scope cancel_scope(&open_cancel);
 
   ScopedTimer open_timer(
-      kMetricsEnabled
-          ? MetricsRegistry::Global().GetHistogram("serving.open_cursor_ns")
-          : nullptr);
+      MetricsRegistry::Global().GetHistogram("serving.open_cursor_ns"));
   std::shared_ptr<QueryTrace> trace;
   if (opts.collect_trace) trace = std::make_shared<QueryTrace>();
 
@@ -371,10 +344,7 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
                     FastClock::TicksToNs(FastClock::Now() - compile_start));
   }
 
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("serving.cursors_opened")
-        ->Increment();
-  }
+  MetricsRegistry::Global().GetCounter("serving.cursors_opened")->Increment();
   session->AddCursor();
   // cursor_options was resolved against opts before planning (the
   // deadline check above needed it); the cursor adopts it as-is.
@@ -405,10 +375,8 @@ Status ServingEngine::CancelCursor(CursorId id) {
   if (cursor == nullptr) return NoCursorError(id);
   cursor->RequestCancel();
   cursors_cancelled_.fetch_add(1, std::memory_order_relaxed);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("serving.cursors_cancelled")
-        ->Increment();
-  }
+  MetricsRegistry::Global().GetCounter("serving.cursors_cancelled")
+      ->Increment();
   return Status::Ok();
 }
 
@@ -418,12 +386,10 @@ size_t ServingEngine::EvictIdleCursors(
   for (const std::shared_ptr<Session>& session : evicted) {
     session->RemoveCursor();
   }
-  if constexpr (kMetricsEnabled) {
-    if (!evicted.empty()) {
-      MetricsRegistry::Global()
-          .GetCounter("serving.cursors_evicted")
-          ->Add(static_cast<int64_t>(evicted.size()));
-    }
+  if (!evicted.empty()) {
+    MetricsRegistry::Global()
+        .GetCounter("serving.cursors_evicted")
+        ->Add(static_cast<int64_t>(evicted.size()));
   }
   return evicted.size();
 }
@@ -444,17 +410,13 @@ StatusOr<FetchOutcome> ServingEngine::FetchSlice(
         FailpointRegistry::Global().Evaluate("serving.worker.slice");
     if (!s.ok()) return s;
   }
-  if constexpr (kMetricsEnabled) {
-    if (queue_wait_ns.has_value()) {
-      MetricsRegistry::Global()
-          .GetHistogram("serving.queue_wait_ns")
-          ->Record(*queue_wait_ns);
-    }
+  if (queue_wait_ns.has_value()) {
+    MetricsRegistry::Global()
+        .GetHistogram("serving.queue_wait_ns")
+        ->Record(*queue_wait_ns);
   }
   ScopedTimer slice_timer(
-      kMetricsEnabled
-          ? MetricsRegistry::Global().GetHistogram("serving.slice_service_ns")
-          : nullptr);
+      MetricsRegistry::Global().GetHistogram("serving.slice_service_ns"));
   FetchOutcome out;
   Status typed_error = Status::Ok();
   const bool found =
@@ -480,10 +442,10 @@ StatusOr<FetchOutcome> ServingEngine::FetchSlice(
         out.cursor_state = at_entry;
         if (max_results == 0) return;
 
-        // Session work is charged in pipeline work units (the
-        // RankedIterator::WorkUnits delta of each pull), not one unit
-        // per pull: a deep-rank pull that drains group heaps costs what
-        // it actually did. Reservation always precedes spend -- a
+        // Session work is charged the pipeline work units Cursor::Next
+        // charged the pull (its RankedIterator::WorkUnits delta, floored
+        // at 1), not one unit per pull: a deep-rank pull that drains
+        // group heaps costs what it actually did. Reservation always precedes spend -- a
         // one-unit ante before the pull, the measured remainder after
         // it -- so the budget can never be overspent. A pull is
         // indivisible, though: units the session could not cover are
@@ -509,19 +471,15 @@ StatusOr<FetchOutcome> ServingEngine::FetchSlice(
             out.session_dry = true;
             break;
           }
-          const int64_t units_before = cursor.pipeline_work_units();
-          const size_t pulls_before = cursor.work_used();
-          auto result = cursor.Next();
-          if (cursor.work_used() == pulls_before) {
+          size_t units = 0;
+          auto result = cursor.Next(&units);
+          if (units == 0) {
             // The cursor was already stopped (its own budget): nothing
             // was pulled, so both unit reservations are refunded.
             session.SettleWork(1, 0);
             session.SettleResults(1, 0);
             break;
           }
-          const int64_t delta = cursor.pipeline_work_units() - units_before;
-          const size_t units =
-              std::max<size_t>(delta > 0 ? static_cast<size_t>(delta) : 0, 1);
           session.SettleWork(1, 1);  // the ante covers the first unit
           const size_t extra = PayWork(session, units - 1);
           if (extra > 0) {
@@ -699,7 +657,7 @@ std::map<CursorId, std::vector<RankedResult>> ServingEngine::DrainAll(
 MetricsSnapshot ServingEngine::GetMetricsSnapshot() const {
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   // Overlay live operational state this engine owns. These are derived
-  // levels (not recordings), so they appear even in metrics-off builds.
+  // levels (not recordings).
   snap.gauges["serving.open_cursors"] =
       static_cast<int64_t>(cursors_.NumCursors());
   snap.gauges["serving.open_sessions"] =

@@ -60,14 +60,6 @@ namespace topkjoin {
 struct OverloadPolicy {
   /// Shed opens once this many cursors are already open.
   size_t max_open_cursors = 0;
-  /// Shed opens while the worker pool backlog (queued + running slices)
-  /// exceeds this.
-  size_t max_queue_depth = 0;
-  /// Shed opens while the process-wide serving.budget_debt gauge (work
-  /// units pulled but not yet coverable by session budgets) is at or
-  /// above this. Inert in metrics-off builds: the gauge is compiled out
-  /// and reads 0.
-  int64_t max_budget_debt = 0;
   /// Estimator-driven shedding: after planning (cheap for hot queries
   /// -- the plan cache already has the estimates), shed when the
   /// plan's predicted work exceeds this. Non-finite estimates (unknown
@@ -80,9 +72,6 @@ struct ServingOptions {
   /// and DrainAll run their slices inline on the calling thread (same
   /// scheduling policy, no parallelism) -- the bench baseline mode.
   size_t num_workers = 4;
-  /// Lock stripes of the cursor table. More stripes = less false
-  /// contention between unrelated cursors.
-  size_t num_stripes = 16;
   /// Entries of the cross-request plan cache (plan_cache.h); hot
   /// queries skip PlanQuery -- relation sampling, the AGM LP, and the
   /// grouping search -- on repeat OpenCursor. 0 disables caching.
@@ -250,7 +239,6 @@ class ServingEngine {
   uint64_t NumPlansComputed() const { return plan_cache_.stats().builds; }
   /// How many times OpenCursor actually ran preprocessing: the artifact
   /// cache's builds. N warm opens of the same query leave this at 1.
-  /// Works in metrics-off builds.
   uint64_t NumArtifactsBuilt() const { return artifact_cache_.stats().builds; }
   /// How many times a stale cached artifact was upgraded by an
   /// incremental patch (delta-scoped refold) instead of a full rebuild:
@@ -260,13 +248,12 @@ class ServingEngine {
     return artifact_cache_.stats().patches;
   }
   /// OpenCursor requests rejected by the OverloadPolicy (typed
-  /// kUnavailable). Also exported as the serving.requests_shed counter;
-  /// works in metrics-off builds.
+  /// kUnavailable). Also exported as the serving.requests_shed counter.
   uint64_t NumRequestsShed() const {
     return requests_shed_.load(std::memory_order_relaxed);
   }
   /// CancelCursor calls that found their cursor. Also exported as the
-  /// serving.cursors_cancelled counter; works in metrics-off builds.
+  /// serving.cursors_cancelled counter.
   uint64_t NumCursorsCancelled() const {
     return cursors_cancelled_.load(std::memory_order_relaxed);
   }
@@ -312,6 +299,10 @@ class ServingEngine {
   /// queue-wait histogram; the synchronous Fetch passes nullopt.
   StatusOr<FetchOutcome> FetchSlice(CursorId id, size_t max_results,
                                     std::optional<uint64_t> queue_wait_ns);
+
+  /// Lock stripes of the cursor table: enough that unrelated cursors
+  /// rarely contend on one stripe lock.
+  static constexpr size_t kCursorStripes = 16;
 
   const ServingOptions options_;
   ShardedCursorTable cursors_;

@@ -30,12 +30,9 @@ CardinalityEstimator::CardinalityEstimator(const Database& db,
   // Sampling every relation is the cost the estimator caches exist to
   // amortize; exporting it makes double-builds visible in the planner
   // metrics.
-  ScopedTimer timer(kMetricsEnabled ? MetricsRegistry::Global().GetHistogram(
-                                          "stats.estimator_build_ns")
-                                    : nullptr);
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("stats.estimator_builds")->Increment();
-  }
+  ScopedTimer timer(
+      MetricsRegistry::Global().GetHistogram("stats.estimator_build_ns"));
+  MetricsRegistry::Global().GetCounter("stats.estimator_builds")->Increment();
   samples_.reserve(db.NumRelations());
   for (RelationId id = 0; id < db.NumRelations(); ++id) {
     // Per-relation seed: reproducible independently of catalog order
@@ -47,9 +44,8 @@ CardinalityEstimator::CardinalityEstimator(const Database& db,
 
 void CardinalityEstimator::RetargetAndExtend(const Database& db) {
   TOPKJOIN_CHECK(db.NumRelations() == samples_.size());
-  ScopedTimer timer(kMetricsEnabled ? MetricsRegistry::Global().GetHistogram(
-                                          "stats.estimator_patch_ns")
-                                    : nullptr);
+  ScopedTimer timer(
+      MetricsRegistry::Global().GetHistogram("stats.estimator_patch_ns"));
   db_ = &db;
   for (RelationId id = 0; id < samples_.size(); ++id) {
     samples_[id].ExtendTo(db.relation(id));

@@ -8,8 +8,7 @@
 // code path; the chaos tests in tests/robustness_test.cc storm the
 // serving engine this way and assert the invariants hold.
 //
-// Zero-cost by default, exactly like kMetricsEnabled: the registry
-// compiles in every build (so tests and benches can read its counters
+// Zero-cost by default: the registry compiles in every build (so tests and benches can read its counters
 // unconditionally), but call sites MUST be gated
 //
 //   if constexpr (kFailpointsEnabled) {

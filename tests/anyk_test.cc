@@ -391,20 +391,6 @@ TEST(UnionTest, MergesDisjointStreamsInOrder) {
   }
 }
 
-TEST(UnionTest, DeduplicatesWhenAsked) {
-  TestInstance t = MakePathInstance(2, 15, 4, 19);
-  std::vector<std::unique_ptr<RankedIterator>> inputs;
-  inputs.push_back(MakeAnyK(t.db, t.query, AnyKAlgorithm::kRec));
-  inputs.push_back(MakeAnyK(t.db, t.query, AnyKAlgorithm::kPartEager));
-  UnionAnyK merged(std::move(inputs), /*deduplicate=*/true);
-  const auto results = Drain(&merged);
-  // Dedup is by assignment, so the union of two identical streams must
-  // yield exactly the distinct value-rows of the output.
-  Relation oracle = NestedLoopJoin(t.db, t.query);
-  oracle.DeduplicateKeepLightest();
-  EXPECT_EQ(results.size(), oracle.NumTuples());
-}
-
 TEST(UnionTest, EmptyInputs) {
   UnionAnyK merged({});
   EXPECT_FALSE(merged.Next().has_value());

@@ -72,15 +72,25 @@ size_t EnvSize(const char* name, size_t fallback) {
 size_t NumRandomQueries() { return EnvSize("TOPKJOIN_DIFF_QUERIES", 230); }
 uint64_t BaseSeed() { return EnvSize("TOPKJOIN_DIFF_SEED", 20260729); }
 
+// The four ANYK-PART variants, by their TOPKJOIN_DIFF_VARIANT names.
+struct PartVariant {
+  const char* name;
+  AnyKAlgorithm algorithm;
+};
+constexpr PartVariant kPartVariants[] = {
+    {"eager", AnyKAlgorithm::kPartEager},
+    {"lazy", AnyKAlgorithm::kPartLazy},
+    {"take2", AnyKAlgorithm::kPartTake2},
+    {"memoized", AnyKAlgorithm::kPartMemoized},
+};
+
 // TOPKJOIN_DIFF_VARIANT: force the main sweep through one ANYK-PART
 // variant (see file comment). An unknown name aborts loudly.
-std::optional<AnyKPartVariant> EnvVariant() {
+std::optional<AnyKAlgorithm> EnvVariant() {
   const char* v = std::getenv("TOPKJOIN_DIFF_VARIANT");
   if (v == nullptr || *v == '\0') return std::nullopt;
-  for (const AnyKPartVariant variant :
-       {AnyKPartVariant::kEager, AnyKPartVariant::kLazy,
-        AnyKPartVariant::kTake2, AnyKPartVariant::kMemoized}) {
-    if (std::string(v) == AnyKPartVariantName(variant)) return variant;
+  for (const PartVariant& variant : kPartVariants) {
+    if (std::string(v) == variant.name) return variant.algorithm;
   }
   std::fprintf(stderr, "unknown TOPKJOIN_DIFF_VARIANT '%s'\n", v);
   TOPKJOIN_CHECK(false);
@@ -314,9 +324,7 @@ void RunDifferential(const RandomCase& c, CostModelKind kind,
   RankingSpec ranking;
   ranking.model = kind;
   ExecutionOptions opts;
-  if (const auto variant = EnvVariant(); variant.has_value()) {
-    opts.force_algorithm = AlgorithmForVariant(*variant);
-  }
+  opts.force_algorithm = EnvVariant();
   auto result = engine.Execute(c.db, c.query, ranking, opts);
   ASSERT_TRUE(result.ok()) << label << ": " << result.status().message();
   ExpectMatchesOracle(Drain(result.value().stream.get()),
@@ -446,14 +454,12 @@ void RunVariantSweep(const RandomCase& c, CostModelKind kind,
   std::vector<std::vector<double>> ref_vectors;
   std::vector<Row> ref_rows;
   bool have_ref = false;
-  for (const AnyKPartVariant variant :
-       {AnyKPartVariant::kEager, AnyKPartVariant::kLazy,
-        AnyKPartVariant::kTake2, AnyKPartVariant::kMemoized}) {
+  for (const PartVariant& variant : kPartVariants) {
     Engine engine;
     RankingSpec ranking;
     ranking.model = kind;
     ExecutionOptions opts;
-    opts.force_algorithm = AlgorithmForVariant(variant);
+    opts.force_algorithm = variant.algorithm;
     auto result = engine.Execute(c.db, c.query, ranking, opts);
     ASSERT_TRUE(result.ok())
         << label << ": " << result.status().message();
@@ -475,7 +481,7 @@ void RunVariantSweep(const RandomCase& c, CostModelKind kind,
       continue;
     }
     const std::string vlabel =
-        label + " [" + AnyKPartVariantName(variant) + "]";
+        label + " [" + variant.name + "]";
     ASSERT_EQ(costs, ref_costs) << vlabel << ": cost sequence diverged";
     ASSERT_EQ(vectors, ref_vectors)
         << vlabel << ": cost-vector sequence diverged";

@@ -50,34 +50,28 @@ TEST(PlannerTest, SmallKPicksAnyK) {
   EXPECT_FALSE(plan.value().rationale.empty());
 }
 
-// The anyk_variant knob selects among the PART successor strategies
-// without overriding the any-k vs batch routing, and the choice shows
-// up in the Explain rationale.
+// force_algorithm is the one any-k selector: each forced PART variant
+// is the plan's algorithm, the Explain rationale names it, and it
+// overrides the planner's routing even where the heuristic would batch.
 TEST(PlannerTest, AnyKVariantSelectsPartStrategy) {
   Instance t = MakePathInstance(3, 60, 5, 7);
   Engine engine;
   ExecutionOptions opts;
-  opts.k = 5;
-  for (const auto& [variant, algorithm] :
-       {std::pair{AnyKPartVariant::kEager, AnyKAlgorithm::kPartEager},
-        std::pair{AnyKPartVariant::kLazy, AnyKAlgorithm::kPartLazy},
-        std::pair{AnyKPartVariant::kTake2, AnyKAlgorithm::kPartTake2},
-        std::pair{AnyKPartVariant::kMemoized,
-                  AnyKAlgorithm::kPartMemoized}}) {
-    opts.anyk_variant = variant;
-    const auto plan = engine.Explain(t.db, t.query, {}, opts);
-    ASSERT_TRUE(plan.ok());
-    EXPECT_EQ(plan.value().algorithm, algorithm)
-        << AnyKPartVariantName(variant);
-    EXPECT_NE(plan.value().rationale.find(AnyKPartVariantName(variant)),
-              std::string::npos);
+  for (const size_t k : {size_t{5}, size_t{100000}}) {
+    opts.k = k;
+    for (const AnyKAlgorithm algorithm :
+         {AnyKAlgorithm::kPartEager, AnyKAlgorithm::kPartLazy,
+          AnyKAlgorithm::kPartTake2, AnyKAlgorithm::kPartMemoized}) {
+      opts.force_algorithm = algorithm;
+      const auto plan = engine.Explain(t.db, t.query, {}, opts);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_EQ(plan.value().strategy, PlanStrategy::kAnyKDirect);
+      EXPECT_EQ(plan.value().algorithm, algorithm)
+          << AnyKAlgorithmName(algorithm) << " k=" << k;
+      EXPECT_NE(plan.value().rationale.find(AnyKAlgorithmName(algorithm)),
+                std::string::npos);
+    }
   }
-  // A large k still routes to batch regardless of the variant knob.
-  opts.k = 100000;
-  opts.anyk_variant = AnyKPartVariant::kEager;
-  const auto plan = engine.Explain(t.db, t.query, {}, opts);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan.value().algorithm, AnyKAlgorithm::kBatch);
 }
 
 TEST(PlannerTest, LargeKPicksBatch) {
@@ -335,6 +329,52 @@ TEST(EngineExecuteTest, PerResultWorkStaysWithinAnyKDelayBound) {
       const double bound = 4.0 * static_cast<double>(t.query.NumAtoms()) *
                            (std::log2(static_cast<double>(results)) + 1.0);
       EXPECT_LE(static_cast<double>(max_delta), bound) << label;
+    }
+  }
+}
+
+// Counters() breaks WorkUnits() down for every plan kind the executor
+// builds, the 4-cycle ranked union included: frontier pushes plus heap
+// extractions are the work units, and only batch-then-sort (which pays
+// everything up front, in preprocessing) reports none.
+TEST(EngineExecuteTest, CountersBreakDownWorkUnitsForEveryPlanKind) {
+  struct PlanKind {
+    Instance instance;
+    AnyKAlgorithm algorithm;
+    PlanStrategy strategy;
+  };
+  std::vector<PlanKind> kinds;
+  kinds.push_back({MakePathInstance(3, 150, 8, 1), AnyKAlgorithm::kPartTake2,
+                   PlanStrategy::kAnyKDirect});
+  kinds.push_back({MakePathInstance(3, 150, 8, 1), AnyKAlgorithm::kBatch,
+                   PlanStrategy::kBatchSort});
+  kinds.push_back({MakeTriangleInstance(60, 6, 1), AnyKAlgorithm::kPartTake2,
+                   PlanStrategy::kDecompose});
+  kinds.push_back({MakeFourCycleInstance(200, 12, 1),
+                   AnyKAlgorithm::kPartTake2, PlanStrategy::kUnionCases});
+  constexpr size_t kPulls = 200;
+  for (const PlanKind& kind : kinds) {
+    const Instance& t = kind.instance;
+    Engine engine;
+    ExecutionOptions opts;
+    opts.force_algorithm = kind.algorithm;
+    auto result = engine.Execute(t.db, t.query, {}, opts);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    const std::string label = PlanStrategyName(kind.strategy);
+    ASSERT_EQ(result.value().plan.strategy, kind.strategy) << label;
+    RankedIterator* stream = result.value().stream.get();
+    size_t pulled = 0;
+    while (pulled < kPulls && stream->Next().has_value()) ++pulled;
+    ASSERT_GT(pulled, 0u) << label;
+
+    const PipelineCounters counters = stream->Counters();
+    const int64_t sum = counters.frontier_pushes + counters.heap_extractions;
+    EXPECT_EQ(sum, stream->WorkUnits()) << label;
+    if (kind.strategy == PlanStrategy::kBatchSort) {
+      EXPECT_EQ(sum, 0) << label;
+    } else {
+      EXPECT_GT(sum, 0) << label;
+      EXPECT_GT(counters.candidate_pool_bytes, 0) << label;
     }
   }
 }
@@ -637,7 +677,6 @@ TEST(EngineTraceTest, CollectTraceRecordsPhasesAndMilestones) {
 }
 
 TEST(EngineEstimatorCacheTest, ExecuteReusesEstimatorUntilDbChanges) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "observed via metrics counters";
   Instance t = MakePathInstance(3, 30, 4, 9);
   Engine engine;
   auto& registry = MetricsRegistry::Global();

@@ -716,7 +716,6 @@ TEST(ServingStressTest, ConcurrentClientsSeeExactRankedStreams) {
 
   ServingOptions options;
   options.num_workers = 4;
-  options.num_stripes = 8;
   ServingEngine serving(options);
 
   std::atomic<size_t> failures{0};
@@ -1173,7 +1172,6 @@ TEST(ServingStressTest, ConcurrentOpenCursorStormHitsThePlanCache) {
 // layers -- planner, T-DP preprocessing, enumeration, serving -- with
 // consistent per-Next delay percentiles.
 TEST(ServingObservabilityTest, MetricsSnapshotCoversAllFourLayers) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Instance t = MakePathInstance(4, 30, 4, 11);
   ServingEngine serving;
   const MetricsSnapshot before = serving.GetMetricsSnapshot();
@@ -1229,7 +1227,6 @@ TEST(ServingObservabilityTest, MetricsSnapshotCoversAllFourLayers) {
 }
 
 TEST(ServingObservabilityTest, QueueWaitIsAttributedToSessions) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Instance t = MakePathInstance(3, 30, 4, 11);
   ServingOptions options;
   options.num_workers = 2;
@@ -1330,15 +1327,13 @@ TEST(ServingObservabilityTest, SnapshotScrapeDuringEightWorkerDrain) {
     uint64_t last_results = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const MetricsSnapshot snap = serving.GetMetricsSnapshot();
-      if (kMetricsEnabled) {
-        const auto it = snap.counters.find("anyk.results");
-        ASSERT_NE(it, snap.counters.end());
-        EXPECT_GE(it->second, 0);
-        const uint64_t results =
-            static_cast<uint64_t>(std::max<int64_t>(it->second, 0));
-        EXPECT_GE(results, last_results);  // monotone while draining
-        last_results = results;
-      }
+      const auto it = snap.counters.find("anyk.results");
+      ASSERT_NE(it, snap.counters.end());
+      EXPECT_GE(it->second, 0);
+      const uint64_t results =
+          static_cast<uint64_t>(std::max<int64_t>(it->second, 0));
+      EXPECT_GE(results, last_results);  // monotone while draining
+      last_results = results;
       (void)snap.ToJson();
       (void)serving.GetPlanCacheStats();
     }
@@ -1360,7 +1355,6 @@ TEST(ServingObservabilityTest, SnapshotScrapeDuringEightWorkerDrain) {
 // The budget-debt gauge rises while a session is dry mid-pull and
 // settles back to its baseline once the cursors close.
 TEST(ServingObservabilityTest, BudgetDebtGaugeSettlesOnClose) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Instance t = MakePathInstance(3, 40, 4, 13);
   Gauge* debt = MetricsRegistry::Global().GetGauge("serving.budget_debt");
   const int64_t baseline = debt->value();

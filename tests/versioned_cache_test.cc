@@ -273,7 +273,6 @@ TEST(VersionedCacheTest, InvalidateDatabaseDropsOnlyThatDatabase) {
 }
 
 TEST(VersionedCacheTest, RecordsRegistryCountersUnderItsName) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* hits = registry.GetCounter("test.counted_cache_hits");
   Counter* misses = registry.GetCounter("test.counted_cache_misses");

@@ -1,11 +1,10 @@
 // Lint fixture: a file that satisfies every invariant, including the
 // patterns the linter must NOT flag (commented mentions of std::mutex,
-// gated metrics, static interning, SAFETY-annotated suppression).
+// a gated failpoint, SAFETY-annotated suppression).
 // Never compiled; exists only for lint_invariants.py --self-test.
 #ifndef TOPKJOIN_TOOLS_LINT_FIXTURES_SRC_ANYK_GOOD_H_
 #define TOPKJOIN_TOOLS_LINT_FIXTURES_SRC_ANYK_GOOD_H_
 
-#include "src/obs/metrics.h"
 #include "src/util/failpoint.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -13,18 +12,6 @@
 namespace topkjoin {
 
 // A comment may say std::mutex or sleep_for without tripping anything.
-
-inline Counter* InternedCounter() {
-  // One-time interning through a static local is allowed ungated.
-  static Counter* c = MetricsRegistry::Global().GetCounter("fixture.good");
-  return c;
-}
-
-inline void RecordGated() {
-  if constexpr (kMetricsEnabled) {
-    MetricsRegistry::Global().GetCounter("fixture.gated")->Increment();
-  }
-}
 
 inline Status EvaluateGatedFailpoint() {
   if constexpr (kFailpointsEnabled) {

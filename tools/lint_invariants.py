@@ -18,12 +18,6 @@ Rules (each violation prints as `path:line: [rule-id] message`):
                   weight. Tests must synchronize on condition variables,
                   futures, or latches.
 
-  metrics-gate    Recording into the metrics registry from the
-                  enumeration hot paths (src/anyk/, src/engine/) must be
-                  gated on kMetricsEnabled (or be a one-time `static`
-                  interning of a metric pointer), so TOPKJOIN_METRICS=OFF
-                  builds pay nothing.
-
   include-guard   Every header needs an include guard (#ifndef/#define
                   or #pragma once) near the top.
 
@@ -35,8 +29,7 @@ Rules (each violation prints as `path:line: [rule-id] message`):
   failpoint-gate  Failpoint evaluation from production code (src/) must
                   be gated on kFailpointsEnabled so default builds
                   (TOPKJOIN_FAILPOINTS=OFF) compile the registry lookup
-                  out entirely -- the same zero-cost contract as
-                  metrics-gate. Tests and benches arm/inspect the
+                  out entirely. Tests and benches arm/inspect the
                   registry directly and are exempt.
 
   tsa-suppress    Every NO_THREAD_SAFETY_ANALYSIS needs an adjacent
@@ -67,7 +60,7 @@ BANNED_SYNC = [
 
 SLEEP_RE = re.compile(r"\bsleep_for\b|\bsleep_until\b|\busleep\s*\(|\bnanosleep\s*\(")
 
-# How far back (in lines) a kMetricsEnabled gate or a SAFETY: rationale
+# How far back (in lines) a kFailpointsEnabled gate or a SAFETY: rationale
 # may sit from the line it covers.
 GATE_WINDOW = 15
 SAFETY_WINDOW = 12
@@ -173,24 +166,6 @@ class Linter:
                     "wall-clock sleep in a test; synchronize on a "
                     "CondVar/future/latch instead")
 
-    def check_metrics_gate(self, path, code_lines):
-        for i, line in enumerate(code_lines, 1):
-            if "MetricsRegistry::Global" not in line:
-                continue
-            # One-time interning of a metric pointer is free after the
-            # first call: function-local static initializer.
-            if re.search(r"\bstatic\b", line):
-                continue
-            lo = max(0, i - 1 - GATE_WINDOW)
-            window = code_lines[lo:i]
-            if any("kMetricsEnabled" in w for w in window):
-                continue
-            self.report(
-                path, i, "metrics-gate",
-                "hot-path metrics recording not visibly gated on "
-                "kMetricsEnabled (gate within the preceding "
-                f"{GATE_WINDOW} lines, or intern via a `static` local)")
-
     def check_failpoint_gate(self, path, code_lines):
         rel = os.path.relpath(path, self.root)
         if rel in (os.path.join("src", "util", "failpoint.h"),
@@ -262,13 +237,10 @@ class Linter:
         parts = rel.split(os.sep)
         in_tests = parts[0] == "tests"
         in_src = parts[0] == "src"
-        in_hot_path = in_src and len(parts) > 1 and parts[1] in ("anyk", "engine")
 
         self.check_sync_wrappers(path, code_lines)
         if in_tests:
             self.check_no_test_sleep(path, code_lines)
-        if in_hot_path:
-            self.check_metrics_gate(path, code_lines)
         if in_src:
             self.check_failpoint_gate(path, code_lines)
         if path.endswith(".h"):
@@ -300,7 +272,6 @@ def self_test(repo_root):
     expected = {
         (j("src", "serving", "bad_sync.cc"), "sync-wrappers"),
         (j("tests", "bad_sleep_test.cc"), "no-test-sleep"),
-        (j("src", "anyk", "bad_metrics.h"), "metrics-gate"),
         (j("src", "anyk", "bad_guard.h"), "include-guard"),
         (j("src", "anyk", "bad_include.h"), "include-path"),
         (j("src", "serving", "bad_suppress.h"), "tsa-suppress"),
