@@ -45,11 +45,19 @@ int main(int argc, char** argv) {
 
   std::printf("DAG: %zu layers x %zu nodes; %zu-shortest paths\n", layers,
               width, k);
+  bool agree = rea.size() == lawler.size();
   for (size_t i = 0; i < rea.size(); ++i) {
+    const bool same = i < lawler.size() && rea[i].weight == lawler[i].weight;
+    agree = agree && same;
     std::printf("  #%zu  weight %.4f (%zu hops)   [REA == Lawler: %s]\n",
                 i + 1, rea[i].weight, rea[i].nodes.size() - 1,
-                rea[i].weight == lawler[i].weight ? "yes" : "NO!");
+                same ? "yes" : "NO!");
   }
   std::printf("REA: %.2f ms, Lawler: %.2f ms\n", rea_ms, lawler_ms);
+  if (!agree) {
+    std::fprintf(stderr, "REA and Lawler disagree (%zu vs %zu paths)\n",
+                 rea.size(), lawler.size());
+    return 1;
+  }
   return 0;
 }

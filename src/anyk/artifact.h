@@ -7,8 +7,8 @@
 // groups, best trees), materialized bag databases with their
 // WeightMatrix provenance, and -- for the batch baseline -- the sorted
 // full output. Artifacts are refcounted (shared_ptr) and handed out by
-// the serving layer's artifact cache keyed on (plan fingerprint, db
-// identity, snapshot epoch); NewStream() mints a fresh enumeration in
+// Engine's artifact cache keyed on (plan fingerprint, db identity,
+// snapshot epoch); NewStream() mints a fresh enumeration in
 // O(per-stream state): a TdpCursor, a frontier seed, and scratch
 // buffers. Every stream holds a shared_ptr back to its artifact, so
 // in-flight cursors survive cache eviction and db-version invalidation.

@@ -153,7 +153,7 @@ class Database {
   /// caches key on (database identity, version). Seeded from a
   /// process-wide epoch counter, so a new Database that happens to be
   /// allocated at a freed one's address cannot replay the old object's
-  /// versions (see ServingEngine::InvalidateCachedPlans for the
+  /// versions (see Engine::InvalidateCachedPlans for the
   /// belt-and-suspenders explicit drop).
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);

@@ -2,7 +2,7 @@
 // holds something derived from a database at one snapshot epoch.
 //
 // Ranked enumeration is preprocessing followed by cheap enumeration, so
-// the serving layer makes repeat queries cheap by caching everything
+// Engine makes repeat queries cheap by caching everything
 // before the first result: the cardinality estimator, the QueryPlan,
 // and the preprocessing artifact (full reducer, bags, T-DP). Each is a
 // VersionedCache<T> of shared_ptr<const T>: a cached value is immutable,

@@ -57,7 +57,7 @@ struct CursorOptions {
   /// preprocessing, and every subsequent slice. Once it passes, the
   /// cursor terminates with kDeadlineExceeded at its next pull or
   /// slice boundary (ExtendBudgets cannot resurrect it). Adopted from
-  /// ExecutionOptions::deadline when unset (ResolveCursorOptions).
+  /// ExecutionOptions::deadline when unset (Engine::OpenCursor).
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 

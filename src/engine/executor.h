@@ -8,9 +8,8 @@
 // half (full reducer, bag materialization, T-DP build) once and returns
 // an immutable PreprocessingArtifact that owns whatever the pipeline
 // needs to stay alive, materialized bag databases included.
-// NewEnumeration then mints the cheap per-cursor stream over it. One-shot
-// callers (Engine::Execute) call both back to back; the serving layer
-// caches the artifact in between. Every plan strategy is instantiated
+// NewEnumeration then mints the cheap per-cursor stream over it. Engine
+// calls both, caching the artifact in between. Every plan strategy is instantiated
 // per cost-model policy, so MAX/PROD/LEX rankings run through the same
 // pipelines as SUM.
 #ifndef TOPKJOIN_ENGINE_EXECUTOR_H_

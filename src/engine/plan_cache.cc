@@ -1,4 +1,4 @@
-#include "src/serving/plan_cache.h"
+#include "src/engine/plan_cache.h"
 
 #include <unordered_map>
 #include <utility>

@@ -1,16 +1,16 @@
-// The serving layer's plan cache and the key it shares with the
-// artifact cache.
+// The engine's plan cache and the key it shares with the artifact
+// cache.
 //
 // Planning a query is not cheap: PlanQuery samples every relation
 // (src/stats/), solves the AGM LP, and searches bag groupings. Serving
-// workloads repeat a small set of hot queries, so ServingEngine caches
-// the finished QueryPlan in a VersionedCache (src/data/versioned_cache.h)
+// workloads repeat a small set of hot queries, so Engine caches the
+// finished QueryPlan in a VersionedCache (src/data/versioned_cache.h)
 // keyed by a structural fingerprint of (query, ranking, execution
 // options) and the identity of the database, at the epoch it was
 // planned against. A stale plan survives a small pure-append delta:
 // RetagPlan keeps it while its cardinality estimates still hold.
-#ifndef TOPKJOIN_SERVING_PLAN_CACHE_H_
-#define TOPKJOIN_SERVING_PLAN_CACHE_H_
+#ifndef TOPKJOIN_ENGINE_PLAN_CACHE_H_
+#define TOPKJOIN_ENGINE_PLAN_CACHE_H_
 
 #include <memory>
 #include <vector>
@@ -26,9 +26,9 @@ using PlanCacheStats = VersionedCacheStats;
 
 /// Structural identity of a plan request: equal iff the requests name
 /// the same Database object and encode the same (atoms, num_vars,
-/// ranking dioid, k, forced algorithm, any-k part variant) --
-/// everything PlanQuery's output depends on besides the data itself,
-/// which the cache's epoch covers. The artifact cache uses the same key.
+/// ranking dioid, k, forced algorithm) -- everything PlanQuery's output
+/// depends on besides the data itself, which the cache's epoch covers.
+/// The artifact cache uses the same key.
 CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
                          const RankingSpec& ranking,
                          const ExecutionOptions& opts);
@@ -45,4 +45,4 @@ std::shared_ptr<const QueryPlan> RetagPlan(
 
 }  // namespace topkjoin
 
-#endif  // TOPKJOIN_SERVING_PLAN_CACHE_H_
+#endif  // TOPKJOIN_ENGINE_PLAN_CACHE_H_

@@ -122,7 +122,7 @@ inline constexpr size_t kAlwaysAnyKThreshold = 128;
 /// minimize estimated bag sizes rather than following the blind
 /// shared-variable greedy. Pass a prebuilt `estimator` (built over this
 /// exact `db` at its current version) to amortize sampling across
-/// queries -- the serving layer's plan cache does; nullptr builds a
+/// queries -- Engine's plan cache does; nullptr builds a
 /// transient one for this call.
 StatusOr<QueryPlan> PlanQuery(const Database& db,
                               const ConjunctiveQuery& query,

@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/data/delta.h"
-#include "src/engine/executor.h"
-#include "src/util/cancellation.h"
 #include "src/util/common.h"
 #include "src/util/failpoint.h"
 
@@ -44,8 +41,7 @@ size_t PayWork(Session& session, size_t amount) {
 
 // Overlays one cache's stats as <prefix>.hits, .misses, ... counters
 // and the <prefix>.entries gauge.
-void OverlayCacheStats(const std::string& prefix,
-                       const VersionedCacheStats& stats,
+void OverlayCacheStats(const std::string& prefix, const PlanCacheStats& stats,
                        MetricsSnapshot* snap) {
   const std::pair<const char*, uint64_t> counters[] = {
       {".hits", stats.hits},
@@ -99,9 +95,6 @@ class ServingEngine::InflightGuard {
 ServingEngine::ServingEngine(ServingOptions options)
     : options_(options),
       cursors_(kCursorStripes),
-      plan_cache_("serving.plan_cache", options.plan_cache_capacity),
-      artifact_cache_("serving.artifact_cache",
-                      options.artifact_cache_capacity),
       pool_(options.num_workers) {}
 
 void ServingEngine::Shutdown() {
@@ -183,7 +176,6 @@ Status ServingEngine::CheckLoadAdmission() {
 Status ServingEngine::CheckPredictedWorkAdmission(
     const QueryPlan& plan, const ExecutionOptions& opts) {
   const OverloadPolicy& policy = options_.overload_policy;
-  if (policy.max_predicted_work <= 0.0) return Status::Ok();
   // Predicted cost of serving this cursor: the intermediate work the
   // preprocessing pass must do regardless, plus the output the client
   // can actually pull (capped by k when the request bounds it). A
@@ -230,134 +222,30 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
     return admitted;
   }
 
-  // Resolve the deadline up front (cursor option wins, else the
-  // request's): an already-expired request fails before planning, and
-  // the ExecContext scope below lets the deep preprocessing loops
-  // (T-DP build, bag materialization, batch drain) abort cooperatively
-  // mid-build instead of finishing doomed work.
-  cursor_options = ResolveCursorOptions(cursor_options, opts);
-  CancelState open_cancel;
-  if (cursor_options.deadline.has_value()) {
-    open_cancel.SetDeadline(*cursor_options.deadline);
-    if (open_cancel.DeadlineExpired()) {
-      return Status::DeadlineExceeded("deadline passed before planning");
+  if (options_.overload_policy.max_predicted_work > 0.0) {
+    // Plan first and shed a too-heavy request before any preprocessing.
+    // Explain reads through the Engine's plan cache, so the open below
+    // does not plan again; the cursor's deadline, when set, governs
+    // planning here as it governs the open.
+    ExecutionOptions plan_opts = opts;
+    if (cursor_options.deadline.has_value()) {
+      plan_opts.deadline = cursor_options.deadline;
+    }
+    auto plan = engine_.Explain(db, query, ranking, plan_opts);
+    if (!plan.ok()) return plan.status();
+    if (Status admitted = CheckPredictedWorkAdmission(plan.value(), opts);
+        !admitted.ok()) {
+      return admitted;
     }
   }
-  ExecContext::Scope cancel_scope(&open_cancel);
 
   ScopedTimer open_timer(
       MetricsRegistry::Global().GetHistogram("serving.open_cursor_ns"));
-  std::shared_ptr<QueryTrace> trace;
-  if (opts.collect_trace) trace = std::make_shared<QueryTrace>();
-
-  // Pin ONE snapshot for the whole open: planning, compilation, and the
-  // cursor's entire enumeration run against this frozen view, and every
-  // cache below is keyed on its epoch. A concurrent ApplyDelta (or
-  // barrier mutation) publishes a new epoch for *future* opens without
-  // perturbing this one -- the undefined cursor-over-mutation window is
-  // gone by construction.
-  std::shared_ptr<const DatabaseSnapshot> snapshot = db.Snapshot();
-  const uint64_t epoch = snapshot->epoch();
-  const Database& view = snapshot->view();
-  if (trace != nullptr) trace->snapshot_epoch = epoch;
-
-  // Plan + compile without holding any cursor lock: both are stateless,
-  // and preprocessing (full reducer, bag materialization) can be the
-  // expensive part of a request. Hot queries skip planning entirely --
-  // the cached QueryPlan already fixes strategy, algorithm, and bag
-  // grouping -- and then skip preprocessing too: the artifact cache
-  // shares the compiled T-DP/bag artifact across cursors, so a warm
-  // OpenCursor only mints a per-cursor enumeration state. After a small
-  // pure-append delta, both caches salvage their stale entry: the plan
-  // is retagged, the artifact delta-refolded.
-  const CacheKey key = PlanFingerprint(db, query, ranking, opts);
-  const FastClock::Ticks plan_start = FastClock::Now();
-  auto plan = plan_cache_.GetOrBuild(
-      key, db, *snapshot,
-      [&view](const std::shared_ptr<const QueryPlan>& stale,
-              const std::vector<AppendDelta>& gap) {
-        return RetagPlan(stale, view, gap);
-      },
-      [&]() -> StatusOr<std::shared_ptr<const QueryPlan>> {
-        const std::shared_ptr<const CardinalityEstimator> estimator =
-            estimator_cache_.For(db, snapshot);
-        auto planned = PlanQuery(view, query, ranking, opts, estimator.get());
-        if (!planned.ok()) return planned.status();
-        return std::make_shared<const QueryPlan>(std::move(planned).value());
-      });
-  if (!plan.ok()) return plan.status();
-  const QueryPlan& query_plan = *plan.value().value;
-  if (trace != nullptr) {
-    trace->plan_cache_hit = plan.value().outcome == CacheOutcome::kHit;
-    if (!trace->plan_cache_hit) {
-      trace->AddPhase("plan",
-                      FastClock::TicksToNs(FastClock::Now() - plan_start));
-    }
-  }
-  // Estimator-driven shedding sits between planning and compilation:
-  // the plan's cardinality estimates are exactly the predicted work,
-  // and for hot queries the plan cache makes this check nearly free --
-  // the expensive preprocessing below is what it protects.
-  if (Status admitted = CheckPredictedWorkAdmission(query_plan, opts);
-      !admitted.ok()) {
-    return admitted;
-  }
-  const FastClock::Ticks compile_start = FastClock::Now();
-  auto artifact = artifact_cache_.GetOrBuild(
-      key, db, *snapshot,
-      [&view](const std::shared_ptr<const PreprocessingArtifact>& stale,
-              const std::vector<AppendDelta>& gap)
-          -> std::shared_ptr<const PreprocessingArtifact> {
-        if constexpr (kFailpointsEnabled) {
-          // An injected patch failure forces the full-rebuild path --
-          // the same degradation a real refold refusal produces.
-          if (!FailpointRegistry::Global()
-                   .Evaluate("serving.artifact.patch")
-                   .ok()) {
-            return nullptr;
-          }
-        }
-        // Only the delta-touched T-DP groups are refolded; keys outside
-        // the existing group structure make TryPatch refuse.
-        return stale->TryPatch(view, gap);
-      },
-      [&] { return BuildArtifact(view, query, query_plan, nullptr); });
-  if (!artifact.ok()) return artifact.status();
-  if (artifact.value().outcome == CacheOutcome::kPatched) {
-    // The refold has no internal abort polls (it is delta-sized, not
-    // data-sized), but the deadline may have expired across it.
-    if (Status aborted = ExecContext::AbortStatus("preprocessing");
-        !aborted.ok()) {
-      return aborted;
-    }
-  }
-  if (trace != nullptr) {
-    trace->artifact_cache_hit =
-        artifact.value().outcome == CacheOutcome::kHit;
-  }
-  std::unique_ptr<RankedIterator> stream =
-      NewEnumeration(*artifact.value().value, query_plan, trace);
-  if (trace != nullptr) {
-    // Both paths report the phase: a warm open's near-zero
-    // compile+preprocess time is exactly the claim worth tracing.
-    trace->AddPhase("compile+preprocess",
-                    FastClock::TicksToNs(FastClock::Now() - compile_start));
-  }
-
+  auto cursor = engine_.OpenCursor(db, query, ranking, opts, cursor_options);
+  if (!cursor.ok()) return cursor.status();
   MetricsRegistry::Global().GetCounter("serving.cursors_opened")->Increment();
   session->AddCursor();
-  // cursor_options was resolved against opts before planning (the
-  // deadline check above needed it); the cursor adopts it as-is.
-  auto cursor = std::make_unique<Cursor>(std::move(stream), cursor_options);
-  cursor->set_trace(std::move(trace));
-  cursor->set_snapshot(std::move(snapshot));
-  return cursors_.Insert(std::move(cursor), std::move(session));
-}
-
-void ServingEngine::InvalidateCachedPlans(const Database& db) {
-  plan_cache_.InvalidateDatabase(&db);
-  artifact_cache_.InvalidateDatabase(&db);
-  estimator_cache_.InvalidateDatabase(&db);
+  return cursors_.Insert(std::move(cursor).value(), std::move(session));
 }
 
 Status ServingEngine::CloseCursor(CursorId id) {
@@ -668,15 +556,8 @@ MetricsSnapshot ServingEngine::GetMetricsSnapshot() const {
       cursors_cancelled_.load(std::memory_order_relaxed));
   snap.gauges["serving.queue_depth"] =
       static_cast<int64_t>(pool_.QueueDepth());
-  const PlanCacheStats plans = plan_cache_.stats();
-  const PlanCacheStats artifacts = artifact_cache_.stats();
-  OverlayCacheStats("serving.plan_cache", plans, &snap);
-  OverlayCacheStats("serving.artifact_cache", artifacts, &snap);
-  snap.counters["serving.plans_computed"] = static_cast<int64_t>(plans.builds);
-  snap.counters["serving.artifacts_built"] =
-      static_cast<int64_t>(artifacts.builds);
-  snap.counters["serving.artifacts_patched"] =
-      static_cast<int64_t>(artifacts.patches);
+  OverlayCacheStats("serving.plan_cache", GetPlanCacheStats(), &snap);
+  OverlayCacheStats("serving.artifact_cache", GetArtifactCacheStats(), &snap);
   return snap;
 }
 

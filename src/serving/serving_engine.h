@@ -1,8 +1,11 @@
 // ServingEngine: thread-safe concurrent serving on top of the engine.
 //
-// Engine (engine.h) hands out one caller-owned cursor per query. This
-// layer keeps many cursors under ids and serves their slices from a
-// fixed pool of worker threads (or inline, with num_workers = 0):
+// Engine (engine.h) opens every ranked stream: it owns the plan,
+// artifact and estimator caches and hands out one caller-owned cursor
+// per query. This layer admits open requests (lifecycle, session
+// budget, load and predicted-work shedding), opens each cursor through
+// its own Engine, keeps many cursors under ids and serves their slices
+// from a fixed pool of worker threads (or inline, with num_workers = 0):
 //
 //   * a sharded, mutex-protected cursor table (striped locks keyed by
 //     CursorId) gives per-cursor serialization with cross-cursor
@@ -15,13 +18,13 @@
 //     one heavy query cannot starve the rest (session.h).
 //
 // Thread-safety: every public method may be called from any thread at
-// any time. Plan + compile (OpenCursor) runs without holding any cursor
-// lock -- PlanQuery/BuildArtifact are stateless and the plan/artifact
+// any time. OpenCursor runs Engine::OpenCursor without holding any
+// cursor lock -- the Engine is safe to call concurrently and its
 // caches have their own short-held mutexes -- and enumeration holds
 // only the cursor's own mutex (the stripe lock covers just the
-// lookup). Live updates are fully supported: OpenCursor pins one
-// DatabaseSnapshot and plans/compiles/enumerates against that frozen
-// view, so Database::ApplyDelta (and barrier mutations) may run
+// lookup). Live updates are fully supported: Engine::OpenCursor pins
+// one DatabaseSnapshot and plans/compiles/enumerates against that
+// frozen view, so Database::ApplyDelta (and barrier mutations) may run
 // concurrently with open cursors -- each cursor drains the snapshot it
 // was opened against, bit-stable, while new cursors see the new epoch.
 #ifndef TOPKJOIN_SERVING_SERVING_ENGINE_H_
@@ -39,11 +42,9 @@
 #include "src/engine/engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/serving/plan_cache.h"
 #include "src/serving/session.h"
 #include "src/serving/sharded_cursor_table.h"
 #include "src/serving/worker_pool.h"
-#include "src/stats/estimator_cache.h"
 #include "src/util/mutex.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
@@ -60,10 +61,11 @@ namespace topkjoin {
 struct OverloadPolicy {
   /// Shed opens once this many cursors are already open.
   size_t max_open_cursors = 0;
-  /// Estimator-driven shedding: after planning (cheap for hot queries
-  /// -- the plan cache already has the estimates), shed when the
-  /// plan's predicted work exceeds this. Non-finite estimates (unknown
-  /// cost) are admitted: unknown is not the same as heavy.
+  /// Estimator-driven shedding: plan first (Engine::Explain, cheap for
+  /// hot queries -- the plan cache already has the estimates), and
+  /// shed before any preprocessing when the plan's predicted work
+  /// exceeds this. Non-finite estimates (unknown cost) are admitted:
+  /// unknown is not the same as heavy.
   double max_predicted_work = 0.0;
 };
 
@@ -72,16 +74,6 @@ struct ServingOptions {
   /// and DrainAll run their slices inline on the calling thread (same
   /// scheduling policy, no parallelism) -- the bench baseline mode.
   size_t num_workers = 4;
-  /// Entries of the cross-request plan cache (plan_cache.h); hot
-  /// queries skip PlanQuery -- relation sampling, the AGM LP, and the
-  /// grouping search -- on repeat OpenCursor. 0 disables caching.
-  size_t plan_cache_capacity = 256;
-  /// Entries of the cross-request preprocessing-artifact cache (a
-  /// VersionedCache, src/data/versioned_cache.h); hot queries skip the full reducer, bag
-  /// materialization, and T-DP build, so a warm OpenCursor only mints a
-  /// per-cursor enumeration state -- O(1) in the data. 0 disables
-  /// caching (every OpenCursor rebuilds).
-  size_t artifact_cache_capacity = 64;
   /// Load-shedding thresholds (all disabled by default).
   OverloadPolicy overload_policy;
 };
@@ -134,27 +126,11 @@ class ServingEngine {
 
   // ------------------------------------------------------------- cursors
 
-  /// Plans, compiles, and registers a budgeted cursor under `session`.
-  /// Planning runs lock-free; only the final registration touches a
-  /// stripe. As with Engine::OpenCursor, opts.k becomes the per-cursor
-  /// result budget when none is given.
-  ///
-  /// Repeat requests hit two cross-request caches keyed by (db identity
-  /// + version, query fingerprint, ranking, opts): the plan cache skips
-  /// PlanQuery, and the artifact cache skips compilation entirely --
-  /// the full reducer, bag materialization, and T-DP build are shared
-  /// as an immutable PreprocessingArtifact, so a warm OpenCursor only
-  /// mints a per-cursor enumeration state. The cursor pins the database
-  /// snapshot it was compiled over, so concurrent mutation never
-  /// affects an open cursor's stream.
-  ///
-  /// On mutation, caches patch-or-evict rather than nuke-on-bump: a
-  /// pure-append delta (Database::ApplyDelta) small enough keeps the
-  /// cached plan (retagged in place), and a stale T-DP artifact is
-  /// incrementally patched (TryPatch: only delta-touched groups are
-  /// refolded) when the appended keys stay within the existing group
-  /// structure. Barrier mutations (Add / mutable_relation) still
-  /// invalidate everything cached against the old contents.
+  /// Admits the request -- shutdown, session lookup, session dryness
+  /// (kResourceExhausted), then the OverloadPolicy; a shed request
+  /// builds nothing -- opens it with Engine::OpenCursor (same budget,
+  /// deadline, cache and snapshot rules) outside any cursor lock, and
+  /// registers the cursor under `session`.
   StatusOr<CursorId> OpenCursor(SessionId session, const Database& db,
                                 const ConjunctiveQuery& query,
                                 const RankingSpec& ranking = {},
@@ -211,11 +187,11 @@ class ServingEngine {
   /// Full observability snapshot: every process-wide metric (counters,
   /// gauges, log-bucketed histograms from all layers -- planner, T-DP
   /// preprocessing, enumeration, serving) overlaid with this engine's
-  /// live operational state (open cursors/sessions, plan-cache
-  /// counters). Safe to call from a stats thread while workers drain;
-  /// hot-path metrics are flushed periodically, so histogram contents
-  /// trail the hot loops by at most one flush period (~4096 results).
-  /// Serialize with MetricsSnapshot::ToJson().
+  /// live operational state (open cursors/sessions, plan- and
+  /// artifact-cache counters). Safe to call from a stats thread while
+  /// workers drain; hot-path metrics are flushed periodically, so
+  /// histogram contents trail the hot loops by at most one flush period
+  /// (~4096 results). Serialize with MetricsSnapshot::ToJson().
   MetricsSnapshot GetMetricsSnapshot() const;
 
   /// Copies the QueryTrace of a cursor opened with
@@ -225,27 +201,23 @@ class ServingEngine {
   /// cursor closes.
   StatusOr<QueryTrace> GetQueryTrace(CursorId id);
 
-  /// Plan-cache monitoring: hits, misses (= patches + builds + failed
-  /// builds), patches (stale plans retagged), builds (PlanQuery runs),
-  /// invalidations, evictions, and the current entry count.
-  PlanCacheStats GetPlanCacheStats() const { return plan_cache_.stats(); }
-  /// Artifact-cache monitoring (same stats shape and counting rule).
-  PlanCacheStats GetArtifactCacheStats() const {
-    return artifact_cache_.stats();
+  /// The Engine's plan-cache stats (see Engine::GetPlanCacheStats).
+  PlanCacheStats GetPlanCacheStats() const {
+    return engine_.GetPlanCacheStats();
   }
-  /// How many times OpenCursor actually ran PlanQuery: the plan cache's
-  /// builds. hits + patches + NumPlansComputed() == successful opens
-  /// past planning.
-  uint64_t NumPlansComputed() const { return plan_cache_.stats().builds; }
-  /// How many times OpenCursor actually ran preprocessing: the artifact
-  /// cache's builds. N warm opens of the same query leave this at 1.
-  uint64_t NumArtifactsBuilt() const { return artifact_cache_.stats().builds; }
-  /// How many times a stale cached artifact was upgraded by an
-  /// incremental patch (delta-scoped refold) instead of a full rebuild:
-  /// the artifact cache's patches, also exported as the
-  /// serving.artifact_cache_patches counter.
+  /// The Engine's artifact-cache stats.
+  PlanCacheStats GetArtifactCacheStats() const {
+    return engine_.GetArtifactCacheStats();
+  }
+  /// Plans computed: the plan cache's builds.
+  uint64_t NumPlansComputed() const { return GetPlanCacheStats().builds; }
+  /// Preprocessing runs: the artifact cache's builds. N warm opens of
+  /// the same query leave this at 1.
+  uint64_t NumArtifactsBuilt() const { return GetArtifactCacheStats().builds; }
+  /// Stale artifacts upgraded by a delta-scoped refold instead of a
+  /// rebuild: the artifact cache's patches.
   uint64_t NumArtifactsPatched() const {
-    return artifact_cache_.stats().patches;
+    return GetArtifactCacheStats().patches;
   }
   /// OpenCursor requests rejected by the OverloadPolicy (typed
   /// kUnavailable). Also exported as the serving.requests_shed counter.
@@ -258,13 +230,11 @@ class ServingEngine {
     return cursors_cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Drops every cached plan, cached preprocessing artifact, and the
-  /// sampled statistics for `db`. Data *changes* already invalidate
-  /// through the version key; call this before destroying a Database
-  /// this engine has served, so a future allocation reusing its address
-  /// can never collide with leftover entries. Cursors already open keep
-  /// their artifact alive through their own shared references.
-  void InvalidateCachedPlans(const Database& db);
+  /// See Engine::InvalidateCachedPlans: call before destroying a
+  /// Database this engine has served.
+  void InvalidateCachedPlans(const Database& db) {
+    engine_.InvalidateCachedPlans(db);
+  }
 
   /// Test hook: drives the idle-eviction clock deterministically (see
   /// ShardedCursorTable::SetTimeSourceForTesting). nullptr restores the
@@ -285,8 +255,9 @@ class ServingEngine {
   std::shared_ptr<Session> FindSession(SessionId id) const
       EXCLUDES(sessions_mu_);
 
-  /// Pre-plan (load) and post-plan (estimator) halves of the
-  /// OverloadPolicy. Both return kUnavailable and count the shed.
+  /// The two halves of the OverloadPolicy: the open-cursor limit, and
+  /// the predicted work of the request's plan. Both return
+  /// kUnavailable and count the shed.
   Status CheckLoadAdmission();
   Status CheckPredictedWorkAdmission(const QueryPlan& plan,
                                      const ExecutionOptions& opts);
@@ -306,8 +277,7 @@ class ServingEngine {
 
   const ServingOptions options_;
   ShardedCursorTable cursors_;
-  PlanCache plan_cache_;
-  VersionedCache<PreprocessingArtifact> artifact_cache_;
+  Engine engine_;
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> cursors_cancelled_{0};
 
@@ -319,12 +289,6 @@ class ServingEngine {
   mutable Mutex lifecycle_mu_;
   CondVar lifecycle_cv_;
   size_t inflight_ GUARDED_BY(lifecycle_mu_) = 0;
-
-  /// Sampled statistics per (db, epoch), built once and shared across
-  /// plan-cache misses (PlanQuery's own contract: "pass a prebuilt
-  /// estimator to amortize sampling"). A small per-database LRU -- see
-  /// stats/estimator_cache.h; Engine uses the same class.
-  EstimatorCache estimator_cache_;
 
   mutable Mutex sessions_mu_;
   std::map<SessionId, std::shared_ptr<Session>> sessions_

@@ -3,9 +3,9 @@
 // one entry per database, versioned by snapshot epoch.
 //
 // Building an estimator samples every relation (O(total tuples)), so
-// bare Engine::Execute/Explain calls that rebuilt one per query paid
-// the sampling cost over and over. Engine and ServingEngine each hold
-// one of these; two databases served alternately keep one entry each.
+// planning that rebuilt one per query paid the sampling cost over and
+// over. Engine holds one of these and plans every plan-cache miss over
+// it; two databases served alternately keep one entry each.
 //
 // Live updates: every cached estimator is built over -- and pins -- a
 // DatabaseSnapshot, so it stays valid however the live database

@@ -652,7 +652,7 @@ TEST(EngineTraceTest, CollectTraceRecordsPhasesAndMilestones) {
   EXPECT_EQ(trace->phases[0].name, "plan");
   EXPECT_EQ(trace->phases[1].name, "compile+preprocess");
   EXPECT_FALSE(trace->strategy.empty());
-  EXPECT_FALSE(trace->plan_cache_hit);  // Engine has no plan cache
+  EXPECT_FALSE(trace->plan_cache_hit);  // a fresh Engine plans
 
   const size_t total = Drain(result.value().stream.get()).size();
   ASSERT_GT(total, 5u);
@@ -687,8 +687,14 @@ TEST(EngineEstimatorCacheTest, ExecuteReusesEstimatorUntilDbChanges) {
   const int64_t misses_before = misses->value();
   ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
   EXPECT_EQ(misses->value(), misses_before + 1);  // first touch builds
-  ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
-  ASSERT_TRUE(engine.Explain(t.db, t.query).ok());
+  // Distinct k values are distinct plan requests: each misses the plan
+  // cache and plans over the one cached estimator.
+  ExecutionOptions k3;
+  k3.k = 3;
+  ExecutionOptions k5;
+  k5.k = 5;
+  ASSERT_TRUE(engine.Execute(t.db, t.query, {}, k3).ok());
+  ASSERT_TRUE(engine.Explain(t.db, t.query, {}, k5).ok());
   EXPECT_EQ(misses->value(), misses_before + 1);  // same (db, version)
   EXPECT_EQ(hits->value(), hits_before + 2);
 
@@ -697,6 +703,107 @@ TEST(EngineEstimatorCacheTest, ExecuteReusesEstimatorUntilDbChanges) {
   t.db.Add(UniformBinaryRelation("fresh", 10, 4, rng));
   ASSERT_TRUE(engine.Explain(t.db, t.query).ok());
   EXPECT_EQ(misses->value(), misses_before + 2);
+}
+
+// ---------------------------------------------------------------- caches
+
+std::vector<double> Costs(const std::vector<RankedResult>& results) {
+  std::vector<double> costs;
+  for (const RankedResult& r : results) costs.push_back(r.cost);
+  return costs;
+}
+
+int64_t PreprocessingWork(const JoinStats& stats) {
+  return stats.intermediate_tuples + stats.output_tuples + stats.probes +
+         stats.comparisons;
+}
+
+void ExpectCosts(const std::vector<double>& got,
+                 const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9) << "rank " << i;
+  }
+}
+
+TEST(EngineCacheTest, RepeatExecuteHitsPlanAndArtifactCaches) {
+  Instance t = MakePathInstance(3, 40, 4, 7);
+  Engine engine;
+  Counter* tdp_builds = MetricsRegistry::Global().GetCounter("tdp.builds");
+  ExecutionOptions opts;
+  opts.collect_trace = true;
+
+  auto cold = engine.Execute(t.db, t.query, {}, opts);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_FALSE(cold.value().trace->plan_cache_hit);
+  EXPECT_FALSE(cold.value().trace->artifact_cache_hit);
+  EXPECT_GT(PreprocessingWork(cold.value().preprocessing), 0);
+
+  const int64_t builds_before = tdp_builds->value();
+  auto warm = engine.Execute(t.db, t.query, {}, opts);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm.value().trace->plan_cache_hit);
+  EXPECT_TRUE(warm.value().trace->artifact_cache_hit);
+  EXPECT_EQ(tdp_builds->value(), builds_before);  // no T-DP rebuilt
+  // preprocessing counts only this call's work: none on a hit.
+  EXPECT_EQ(PreprocessingWork(warm.value().preprocessing), 0);
+  EXPECT_EQ(engine.GetPlanCacheStats().builds, 1u);
+  EXPECT_EQ(engine.GetArtifactCacheStats().builds, 1u);
+  EXPECT_EQ(warm.value().plan.strategy, cold.value().plan.strategy);
+
+  const std::vector<double> want = OracleSortedCosts(t);
+  ExpectCosts(Costs(Drain(cold.value().stream.get())), want);
+  ExpectCosts(Costs(Drain(warm.value().stream.get())), want);
+}
+
+TEST(EngineCacheTest, BarrierMutationRebuilds) {
+  Instance t = MakePathInstance(2, 25, 4, 9);
+  Engine engine;
+  ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
+
+  // A barrier mutation: the delta log cannot describe it, so neither
+  // cached entry can be patched.
+  t.db.mutable_relation(t.query.atom(0).relation)->AddTuple({0, 0}, 0.5);
+  auto after = engine.Execute(t.db, t.query);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(engine.GetPlanCacheStats().builds, 2u);
+  EXPECT_EQ(engine.GetArtifactCacheStats().builds, 2u);
+  EXPECT_EQ(engine.GetArtifactCacheStats().patches, 0u);
+  EXPECT_GT(PreprocessingWork(after.value().preprocessing), 0);
+  ExpectCosts(Costs(Drain(after.value().stream.get())), OracleSortedCosts(t));
+}
+
+TEST(EngineCacheTest, ExplainThenOpenCursorPlansOnce) {
+  Instance t = MakePathInstance(3, 30, 4, 5);
+  Engine engine;
+  ASSERT_TRUE(engine.Explain(t.db, t.query).ok());
+  EXPECT_EQ(engine.GetPlanCacheStats().builds, 1u);
+  EXPECT_EQ(engine.GetArtifactCacheStats().builds, 0u);  // plan only
+
+  ExecutionOptions opts;
+  opts.collect_trace = true;
+  auto cursor = engine.OpenCursor(t.db, t.query, {}, opts);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(engine.GetPlanCacheStats().builds, 1u);  // PlanQuery ran once
+  EXPECT_EQ(engine.GetPlanCacheStats().hits, 1u);
+  EXPECT_TRUE(cursor.value()->trace()->plan_cache_hit);
+}
+
+// Streams hold their artifact, not the Engine: a stream minted from a
+// cached artifact drains exactly after the Engine (and its caches) are
+// gone.
+TEST(EngineCacheTest, CachedStreamDrainsAfterEngineIsDestroyed) {
+  Instance t = MakePathInstance(3, 40, 4, 3);
+  std::unique_ptr<RankedIterator> stream;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
+    auto warm = engine.Execute(t.db, t.query);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(engine.GetArtifactCacheStats().hits, 1u);
+    stream = std::move(warm.value().stream);
+  }
+  ExpectCosts(Costs(Drain(stream.get())), OracleSortedCosts(t));
 }
 
 }  // namespace

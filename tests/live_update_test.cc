@@ -12,8 +12,8 @@
 #include "src/data/database.h"
 #include "src/data/delta.h"
 #include "src/data/versioned_cache.h"
+#include "src/engine/plan_cache.h"
 #include "src/ranking/cost_model.h"
-#include "src/serving/plan_cache.h"
 #include "tests/test_instances.h"
 
 namespace topkjoin {

@@ -166,6 +166,21 @@ TEST(EngineDeadlineTest, ExpiredDeadlineFailsBeforePlanning) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+// The cursor's own deadline is resolved before planning too: an
+// already expired one fails the open without planning or building.
+TEST(EngineDeadlineTest, ExpiredCursorDeadlineFailsBeforePlanning) {
+  Instance t = MakePathInstance(2, 30, 10, 3);
+  Engine engine;
+  Counter* tdp_builds = MetricsRegistry::Global().GetCounter("tdp.builds");
+  const int64_t builds_before = tdp_builds->value();
+  CursorOptions cursor_options;
+  cursor_options.deadline = PastDeadline();
+  auto opened = engine.OpenCursor(t.db, t.query, {}, {}, cursor_options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(tdp_builds->value(), builds_before);
+}
+
 TEST(EngineDeadlineTest, CursorInheritsRequestDeadline) {
   Instance t = MakePathInstance(2, 30, 10, 3);
   Engine engine;
@@ -308,6 +323,7 @@ TEST(LoadSheddingTest, PredictedWorkShedCarriesEstimate) {
   ASSERT_TRUE(shed.status().has_work_estimate());
   EXPECT_GT(shed.status().work_estimate(), 0.001);
   EXPECT_EQ(engine.NumRequestsShed(), 1u);
+  EXPECT_EQ(engine.NumArtifactsBuilt(), 0u);  // shed before preprocessing
 }
 
 TEST(LoadSheddingTest, UnlimitedPolicyNeverSheds) {

@@ -1085,18 +1085,6 @@ TEST(ServingEngineTest, InvalidateCachedPlansDropsDatabaseEntries) {
   EXPECT_EQ(serving.NumPlansComputed(), 2u);  // re-planned from scratch
 }
 
-TEST(ServingEngineTest, PlanCacheCapacityZeroDisablesCaching) {
-  Instance t = MakePathInstance(2, 20, 4, 3);
-  ServingOptions options;
-  options.plan_cache_capacity = 0;
-  ServingEngine serving(options);
-  const SessionId session = serving.OpenSession();
-  ASSERT_TRUE(serving.OpenCursor(session, t.db, t.query).ok());
-  ASSERT_TRUE(serving.OpenCursor(session, t.db, t.query).ok());
-  EXPECT_EQ(serving.NumPlansComputed(), 2u);
-  EXPECT_EQ(serving.GetPlanCacheStats().hits, 0u);
-}
-
 // OpenCursor storm on a small hot query set: the cache must stay
 // consistent under concurrency (TSAN job), serve exact streams, and
 // actually absorb the repeat planning work.
@@ -1512,18 +1500,6 @@ TEST(ServingEngineTest, InFlightCursorSurvivesArtifactInvalidation) {
   for (const RankedResult& r : head.value().results) got.push_back(r.cost);
   for (const RankedResult& r : rest.value().results) got.push_back(r.cost);
   ExpectSameCosts(got, want_old, "pre-mutation stream across invalidation");
-}
-
-TEST(ServingEngineTest, ArtifactCacheCapacityZeroDisablesSharing) {
-  Instance t = MakePathInstance(2, 20, 4, 3);
-  ServingOptions options;
-  options.artifact_cache_capacity = 0;
-  ServingEngine serving(options);
-  const SessionId session = serving.OpenSession();
-  ASSERT_TRUE(serving.OpenCursor(session, t.db, t.query).ok());
-  ASSERT_TRUE(serving.OpenCursor(session, t.db, t.query).ok());
-  EXPECT_EQ(serving.NumArtifactsBuilt(), 2u);
-  EXPECT_EQ(serving.GetArtifactCacheStats().hits, 0u);
 }
 
 // --------------------------------------- per-cursor locking (races)
