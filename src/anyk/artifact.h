@@ -81,7 +81,7 @@ class PreprocessingArtifact
 
   /// Refold counters of the patch that produced this artifact; nullptr
   /// when it was built from scratch. Pins "refolded << total" in tests
-  /// and bench_e16 with metrics compiled out.
+  /// and bench_e16 without going through the metrics registry.
   virtual const TdpPatchStats* patch_stats() const { return nullptr; }
 
   /// Human-readable tag (the algorithm name) for traces and debugging.
@@ -278,9 +278,10 @@ class BatchArtifact final : public PreprocessingArtifact {
     Tdp<CM> tdp(db, query, mode, stats, atom_weights);
     RecordTdpBuild(tdp, build_start);
     // Cooperative cancellation: a T-DP build that aborted mid-phase
-    // must not be enumerated (its groups are partial), and the full
-    // drain below -- potentially the whole join output -- polls per
-    // result. The aborted artifact is discarded by BuildArtifact.
+    // must not be enumerated (its groups are partial). BatchSorted polls
+    // per result while it collects the whole join output (and keeps
+    // nothing once the poll fires), and the copy below polls per result
+    // too. The aborted artifact is discarded by BuildArtifact.
     if (ExecContext::ShouldAbort()) return;
     BatchSorted<CM> batch(&tdp);
     while (auto r = batch.Next()) {

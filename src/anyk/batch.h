@@ -2,7 +2,8 @@
 // constant-delay enumerator the paper connects any-k to (Section 4:
 // "constant-delay join enumeration algorithms ... produce all query
 // results in quick succession after a short pre-processing phase, albeit
-// in no particular order").
+// in no particular order"). Batch-then-sort collects through that same
+// unranked walk.
 #ifndef TOPKJOIN_ANYK_BATCH_H_
 #define TOPKJOIN_ANYK_BATCH_H_
 
@@ -14,92 +15,89 @@
 #include "src/anyk/ranked_iterator.h"
 #include "src/anyk/tdp.h"
 #include "src/ranking/cost_model.h"
+#include "src/util/cancellation.h"
 
 namespace topkjoin {
 
 /// Unranked enumeration over a T-DP: after the full-reducer
-/// preprocessing, results stream with constant delay (an explicit stack
-/// walk over the dangling-free groups; no result is ever discarded).
+/// preprocessing, results stream with constant delay (an odometer over
+/// per-node ranks in preorder, walking the dangling-free groups; no
+/// result is ever discarded). Results arrive lexicographically in the
+/// per-node ranks -- the one full-output walk, which BatchSorted
+/// collects through.
 template <typename CM>
 class UnrankedEnumerator {
  public:
   explicit UnrankedEnumerator(const Tdp<CM>* tdp) : tdp_(tdp) {
     if (!tdp_.HasResults()) return;
     choice_.resize(tdp_.NumNodes());
-    ranks_.assign(tdp_.NumNodes(), 0);
-    if (Rebuild(0)) done_ = false;
+    ranks_.resize(tdp_.NumNodes());
+    groups_.resize(tdp_.NumNodes());
+    groups_[0] = tdp_.RootGroup();
+    done_ = !Descend(0);
+  }
+
+  /// The next result's tuple choice (one RowId per node, preorder), or
+  /// nullptr when exhausted. Valid until the next call.
+  const std::vector<RowId>* NextChoice() {
+    if (started_ && !done_) Advance();
+    started_ = true;
+    return done_ ? nullptr : &choice_;
   }
 
   /// Next assignment (indexed by VarId), or nullopt when exhausted.
-  /// Results arrive in no particular order.
+  /// Results arrive in no particular cost order.
   std::optional<std::vector<Value>> Next() {
-    if (done_) return std::nullopt;
+    const std::vector<RowId>* choice = NextChoice();
+    if (choice == nullptr) return std::nullopt;
     std::vector<Value> assignment;
-    tdp_.AssignmentOf(choice_, &assignment);
-    Advance();
+    tdp_.AssignmentOf(*choice, &assignment);
     return assignment;
   }
 
  private:
-  // Sets positions [from, end) to rank 0 given the prefix; groups come
-  // from parents. Returns false only on empty groups (cannot happen
-  // after full reduction).
-  bool Rebuild(size_t from) {
-    for (size_t i = from; i < tdp_.NumNodes(); ++i) {
-      if (i == 0) {
-        groups_.assign(tdp_.NumNodes(), 0);
-        groups_[0] = tdp_.RootGroup();
-      }
-      RowId row = 0;
-      if (!tdp_.GroupTuple(i, groups_[i], ranks_[i], &row)) return false;
-      choice_[i] = row;
-      const auto& node = tdp_.node(i);
-      for (size_t ci = 0; ci < node.children.size(); ++ci) {
-        groups_[node.children[ci]] = node.child_group(row, ci);
-      }
+  // Picks rank ranks_[i] of node i's group and selects its children's
+  // groups; false when the group has no such rank.
+  bool Choose(size_t i) {
+    RowId row = 0;
+    if (!tdp_.GroupTuple(i, groups_[i], ranks_[i], &row)) return false;
+    choice_[i] = row;
+    const auto& node = tdp_.node(i);
+    for (size_t ci = 0; ci < node.children.size(); ++ci) {
+      groups_[node.children[ci]] = node.child_group(row, ci);
     }
     return true;
   }
 
-  // Odometer over per-node ranks (group sizes vary with the prefix).
+  // Restarts nodes [from, end) at rank 0 in the groups their (already
+  // chosen) parents select. False only on an empty group, which full
+  // reduction rules out.
+  bool Descend(size_t from) {
+    for (size_t i = from; i < tdp_.NumNodes(); ++i) {
+      ranks_[i] = 0;
+      if (!Choose(i)) return false;
+    }
+    return true;
+  }
+
+  // Odometer step (group sizes vary with the prefix): bumps the deepest
+  // node that has a next rank and restarts every later node.
   void Advance() {
-    size_t i = tdp_.NumNodes();
-    while (i-- > 0) {
+    for (size_t i = tdp_.NumNodes(); i-- > 0;) {
       ++ranks_[i];
-      RowId row = 0;
-      if (tdp_.GroupTuple(i, groups_[i], ranks_[i], &row)) {
-        choice_[i] = row;
-        const auto& node = tdp_.node(i);
-        for (size_t ci = 0; ci < node.children.size(); ++ci) {
-          groups_[node.children[ci]] = node.child_group(row, ci);
-        }
-        // Reset the suffix.
-        for (size_t j = i + 1; j < tdp_.NumNodes(); ++j) ranks_[j] = 0;
-        TOPKJOIN_CHECK(RebuildSuffix(i + 1));
+      if (Choose(i)) {
+        TOPKJOIN_CHECK(Descend(i + 1));
         return;
       }
-      ranks_[i] = 0;
     }
     done_ = true;
-  }
-
-  bool RebuildSuffix(size_t from) {
-    for (size_t i = from; i < tdp_.NumNodes(); ++i) {
-      RowId row = 0;
-      if (!tdp_.GroupTuple(i, groups_[i], ranks_[i], &row)) return false;
-      choice_[i] = row;
-      const auto& node = tdp_.node(i);
-      for (size_t ci = 0; ci < node.children.size(); ++ci) {
-        groups_[node.children[ci]] = node.child_group(row, ci);
-      }
-    }
-    return true;
   }
 
   TdpCursor<CM> tdp_;
   std::vector<RowId> choice_;
   std::vector<uint32_t> ranks_;
   std::vector<GroupId> groups_;
+  bool started_ = false;
   bool done_ = true;
 };
 
@@ -111,8 +109,18 @@ class BatchSorted : public RankedIterator {
  public:
   using CostT = typename CM::CostT;
 
+  /// Collects every result through UnrankedEnumerator, then sorts by
+  /// cost. Polls ExecContext once per result: a cancelled or
+  /// past-deadline collection keeps nothing and skips the sort.
   explicit BatchSorted(const Tdp<CM>* tdp) : tdp_(tdp) {
-    CollectAll();
+    UnrankedEnumerator<CM> walk(tdp);
+    while (const std::vector<RowId>* choice = walk.NextChoice()) {
+      if (ExecContext::ShouldAbort()) [[unlikely]] {
+        entries_.clear();
+        return;
+      }
+      entries_.push_back({*choice, tdp->CostOf(*choice)});
+    }
     std::sort(entries_.begin(), entries_.end(),
               [](const Entry& a, const Entry& b) {
                 return CM::Less(a.cost, b.cost);
@@ -122,7 +130,7 @@ class BatchSorted : public RankedIterator {
   std::optional<RankedResult> Next() override {
     if (pos_ >= entries_.size()) return std::nullopt;
     RankedResult out;
-    tdp_.AssignmentOf(entries_[pos_].choice, &out.assignment);
+    tdp_->AssignmentOf(entries_[pos_].choice, &out.assignment);
     out.cost = CM::ToDouble(entries_[pos_].cost);
     out.cost_vector = CM::Components(entries_[pos_].cost);
     ++pos_;
@@ -131,51 +139,13 @@ class BatchSorted : public RankedIterator {
 
   size_t TotalResults() const { return entries_.size(); }
 
-  /// Uniform work-counter surface with the any-k variants (batch does
-  /// all its work up front; enumeration itself pushes nothing).
-  int64_t pq_pushes() const { return 0; }
-  int64_t heap_extractions() const { return tdp_.heap_extractions(); }
-
  private:
   struct Entry {
     std::vector<RowId> choice;
     CostT cost;
   };
 
-  void CollectAll() {
-    if (!tdp_.HasResults()) return;
-    std::vector<RowId> choice(tdp_.NumNodes());
-    std::vector<GroupId> groups(tdp_.NumNodes());
-    Recurse(0, tdp_.RootGroup(), &choice, &groups);
-  }
-
-  void Recurse(size_t i, GroupId g, std::vector<RowId>* choice,
-               std::vector<GroupId>* groups) {
-    (*groups)[i] = g;
-    for (size_t rank = 0;; ++rank) {
-      RowId row = 0;
-      if (!tdp_.GroupTuple(i, g, rank, &row)) break;
-      (*choice)[i] = row;
-      // Descend into the next preorder node, or emit.
-      if (i + 1 == tdp_.NumNodes()) {
-        Entry e;
-        e.choice = *choice;
-        e.cost = tdp_.CostOf(*choice);
-        entries_.push_back(std::move(e));
-      } else {
-        // Group of node i+1: its parent is some node <= i whose tuple is
-        // already chosen.
-        const auto& next = tdp_.node(i + 1);
-        const auto parent = static_cast<size_t>(next.parent);
-        const RowId prow = (*choice)[parent];
-        const GroupId ng =
-            tdp_.node(parent).child_group(prow, next.child_slot);
-        Recurse(i + 1, ng, choice, groups);
-      }
-    }
-  }
-
-  TdpCursor<CM> tdp_;
+  const Tdp<CM>* tdp_;
   std::vector<Entry> entries_;
   size_t pos_ = 0;
 };

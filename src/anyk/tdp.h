@@ -31,6 +31,10 @@
 // rows live in one contiguous arena per node, and per-tuple child-group
 // ids go into one flat array -- BuildGroups/ComputeBest perform zero
 // per-tuple heap allocations (pinned by tests/anyk_core_test.cc).
+//
+// Live updates (Patched) refold a copy of a built Tdp through the same
+// per-row rules the build uses (FoldRow, RowBest, OrganizeGroup), so an
+// appended or dirtied row is folded exactly as a rebuild folds it.
 #ifndef TOPKJOIN_ANYK_TDP_H_
 #define TOPKJOIN_ANYK_TDP_H_
 
@@ -58,7 +62,7 @@ using GroupId = uint32_t;
 
 /// What a delta-scoped refold (Tdp::Patched) actually did -- the
 /// counters behind the "refolded groups << total groups" pin for live
-/// updates (available with metrics compiled out).
+/// updates (kept per patch, independent of the metrics registry).
 struct TdpPatchStats {
   size_t groups_total = 0;     // group lists across all nodes
   size_t groups_refolded = 0;  // groups re-sorted / re-minimized
@@ -265,11 +269,6 @@ class Tdp {
   /// !HasResults().
   GroupId RootGroup() const { return 0; }
 
-  /// Number of tuples in a group.
-  size_t GroupSize(size_t node_idx, GroupId g) const {
-    return nodes_[node_idx].groups[g].size;
-  }
-
   /// The rank-0 (cheapest) tuple of a non-empty group: O(1) in every
   /// sort mode, no cursor state touched.
   RowId GroupTop(size_t node_idx, GroupId g) const {
@@ -325,11 +324,111 @@ class Tdp {
   }
 
  private:
+  // Seed of every join-key hash: BuildGroups' columnar pass and
+  // GatherKey must agree for a key-index Find to hit.
+  static constexpr uint64_t kKeySeed = 0x51ab42ae5c1970ffULL;
+
+  // Per node: which of its columns carry each child's join-key
+  // variables (child slot ci owns cols[offset[ci], offset[ci + 1])),
+  // plus a buffer wide enough for any of the node's join keys. Mapped
+  // once per node, so the per-row fold only gathers values.
+  struct ChildKeys {
+    std::vector<size_t> cols;
+    std::vector<size_t> offset;
+    std::vector<Value> key;
+  };
+
   void BuildTree(const Database& db, JoinStats* stats,
                  const std::vector<WeightMatrix>* atom_weights);
   void BuildGroups();
   void ComputeBest();
-  void OrganizeGroups(Node& n);
+
+  // The T-DP rules below are shared by the build (ComputeBest) and the
+  // delta refold (Patched): a refolded row is folded exactly as a
+  // rebuild would fold it.
+  void MapChildKeys(const Node& n, ChildKeys* keys) const {
+    keys->cols.clear();
+    keys->offset.assign(n.children.size() + 1, 0);
+    const auto& my_vars = query_->atom(n.atom).vars;
+    for (size_t ci = 0; ci < n.children.size(); ++ci) {
+      const Node& c = nodes_[n.children[ci]];
+      const auto& child_vars = query_->atom(c.atom).vars;
+      for (const size_t kc : c.key_cols) {
+        const VarId v = child_vars[kc];
+        size_t col = 0;
+        while (col < my_vars.size() && my_vars[col] != v) ++col;
+        TOPKJOIN_CHECK(col < my_vars.size());  // key vars are shared vars
+        keys->cols.push_back(col);
+      }
+      keys->offset[ci + 1] = keys->cols.size();
+    }
+    keys->key.resize(
+        std::max({keys->cols.size(), n.key_cols.size(), size_t{1}}));
+  }
+
+  // Resolves row r's child groups into child_groups from its child
+  // join keys; false when some child key has no group.
+  bool FoldRow(size_t idx, RowId r, ChildKeys* keys) {
+    Node& n = nodes_[idx];
+    const size_t num_children = n.children.size();
+    Value* const key = keys->key.data();
+    for (size_t ci = 0; ci < num_children; ++ci) {
+      const std::span<const size_t> cols(
+          keys->cols.data() + keys->offset[ci],
+          keys->offset[ci + 1] - keys->offset[ci]);
+      const uint64_t hash = GatherKey(n.rel, r, cols, key);
+      const GroupId g = nodes_[n.children[ci]].key_index->Find(hash, key);
+      if (g == GroupKeyIndex::kNoGroup) return false;
+      n.child_groups[size_t{r} * num_children + ci] = g;
+    }
+    return true;
+  }
+
+  // Orders one group after its rows or their best[] changed: a full
+  // sort (eager) or the first minimum's offset (lazy/quickselect).
+  void OrganizeGroup(Node& n, GroupId g) const {
+    Group& group = n.groups[g];
+    RowId* const begin = n.group_rows.data() + group.begin;
+    RowId* const end = begin + group.size;
+    const auto less = [&](RowId a, RowId b) { return HeapLess(n, a, b); };
+    switch (sort_mode_) {
+      case SortMode::kEager:
+        std::sort(begin, end, less);  // min_pos stays 0
+        break;
+      case SortMode::kLazy:
+      case SortMode::kQuickselect:
+        // The arena stays pristine (shareable across cursors); only the
+        // minimum's offset is precomputed so GroupBest / rank 0 are
+        // O(1). min_element picks the FIRST minimum, making rank 0
+        // deterministic across the fast path and every cursor's dyn
+        // state.
+        group.min_pos =
+            static_cast<uint32_t>(std::min_element(begin, end, less) - begin);
+        break;
+    }
+  }
+
+  // best[r] = w(r) (+) the best completion of each child group (the
+  // row's child groups must be resolved).
+  CostT RowBest(size_t idx, RowId r) const {
+    const Node& n = nodes_[idx];
+    CostT cost = TupleCost(idx, r);
+    for (size_t ci = 0; ci < n.children.size(); ++ci) {
+      cost = CM::Combine(cost, GroupBest(n.children[ci], n.child_group(r, ci)));
+    }
+    return cost;
+  }
+
+  // Gathers row r's values in `cols` into `key` and returns their hash.
+  static uint64_t GatherKey(const Relation& rel, RowId r,
+                            std::span<const size_t> cols, Value* key) {
+    uint64_t hash = kKeySeed;
+    for (size_t k = 0; k < cols.size(); ++k) {
+      key[k] = rel.At(r, cols[k]);
+      hash = HashMix(hash, static_cast<uint64_t>(key[k]));
+    }
+    return hash;
+  }
 
   static bool CostsEqual(const CostT& a, const CostT& b) {
     return !CM::Less(a, b) && !CM::Less(b, a);
@@ -373,9 +472,6 @@ class TdpCursor {
   size_t NumNodes() const { return tdp_->NumNodes(); }
   const Node& node(size_t i) const { return tdp_->node(i); }
   GroupId RootGroup() const { return tdp_->RootGroup(); }
-  size_t GroupSize(size_t node_idx, GroupId g) const {
-    return tdp_->GroupSize(node_idx, g);
-  }
   CostT TupleCost(size_t node_idx, RowId row) const {
     return tdp_->TupleCost(node_idx, row);
   }
@@ -388,10 +484,6 @@ class TdpCursor {
   }
   CostT CostOf(const std::vector<RowId>& choice) const {
     return tdp_->CostOf(choice);
-  }
-  void CompleteOptimally(size_t node_idx, GroupId g,
-                         std::vector<RowId>* choice) const {
-    tdp_->CompleteOptimally(node_idx, g, choice);
   }
 
   /// The rank-th best tuple of the group (0-based), forcing this
@@ -635,7 +727,7 @@ void Tdp<CM>::BuildGroups() {
 
     // Columnar-first hashing: one pass per key column keeps the inner
     // loop a tight mix over a single relation column.
-    hashes.assign(num, 0x51ab42ae5c1970ffULL);
+    hashes.assign(num, kKeySeed);
     for (const size_t col : n.key_cols) {
       for (RowId r = 0; r < num; ++r) {
         hashes[r] = HashMix(hashes[r], static_cast<uint64_t>(n.rel.At(r, col)));
@@ -678,92 +770,26 @@ void Tdp<CM>::BuildGroups() {
 
 template <typename CM>
 void Tdp<CM>::ComputeBest() {
-  // Scratch reused across nodes/rows (no per-tuple allocation).
-  std::vector<size_t> child_key_parent_cols;  // flat: per child, width cols
-  std::vector<size_t> child_key_offset;
-  std::vector<Value> key_scratch;
+  ChildKeys keys;  // scratch reused across nodes (no per-tuple allocation)
   // Reverse preorder: children before parents -- a child's groups are
   // organized (min_pos computed) before the parent reads GroupBest.
   for (size_t idx = nodes_.size(); idx-- > 0;) {
     Node& n = nodes_[idx];
     const size_t num = n.rel.NumTuples();
-    const size_t num_children = n.children.size();
     n.best.resize(num);
-    n.child_groups.assign(num * num_children, 0);
-
-    // Resolve, once per (node, child), which of this node's columns
-    // carry the child's join-key variables. The per-tuple loop below
-    // then only gathers values -- the lookups that used to allocate a
-    // fresh column vector per tuple per child are hoisted here.
-    child_key_parent_cols.clear();
-    child_key_offset.assign(num_children + 1, 0);
-    const auto& my_vars = query_->atom(n.atom).vars;
-    for (size_t ci = 0; ci < num_children; ++ci) {
-      const Node& c = nodes_[n.children[ci]];
-      const auto& child_vars = query_->atom(c.atom).vars;
-      for (const size_t kc : c.key_cols) {
-        const VarId v = child_vars[kc];
-        size_t col = 0;
-        while (col < my_vars.size() && my_vars[col] != v) ++col;
-        TOPKJOIN_CHECK(col < my_vars.size());  // key vars are shared vars
-        child_key_parent_cols.push_back(col);
-      }
-      child_key_offset[ci + 1] = child_key_parent_cols.size();
-    }
-    key_scratch.resize(std::max<size_t>(child_key_parent_cols.size(), 1));
-    Value* const key_buf = key_scratch.data();
-
+    n.child_groups.assign(num * n.children.size(), 0);
+    MapChildKeys(n, &keys);
     for (RowId r = 0; r < num; ++r) {
       // Cooperative poll, as in BuildGroups: bail out of the heaviest
       // per-row loop in the build when cancelled or past deadline.
       if (ExecContext::ShouldAbort()) [[unlikely]] {
         return;
       }
-      CostT cost = TupleCost(idx, r);
-      for (size_t ci = 0; ci < num_children; ++ci) {
-        Node& c = nodes_[n.children[ci]];
-        const size_t begin = child_key_offset[ci];
-        const size_t width = child_key_offset[ci + 1] - begin;
-        uint64_t hash = 0x51ab42ae5c1970ffULL;
-        for (size_t k = 0; k < width; ++k) {
-          key_buf[k] = n.rel.At(r, child_key_parent_cols[begin + k]);
-          hash = HashMix(hash, static_cast<uint64_t>(key_buf[k]));
-        }
-        const GroupId g = c.key_index->Find(hash, key_buf);
-        // Full reduction guarantees a matching child group.
-        TOPKJOIN_CHECK(g != GroupKeyIndex::kNoGroup);
-        n.child_groups[size_t{r} * num_children + ci] = g;
-        cost = CM::Combine(cost, GroupBest(n.children[ci], g));
-      }
-      n.best[r] = std::move(cost);
+      // Full reduction guarantees a matching child group.
+      TOPKJOIN_CHECK(FoldRow(idx, r, &keys));
+      n.best[r] = RowBest(idx, r);
     }
-    OrganizeGroups(n);
-  }
-}
-
-template <typename CM>
-void Tdp<CM>::OrganizeGroups(Node& n) {
-  for (Group& g : n.groups) {
-    RowId* const begin = n.group_rows.data() + g.begin;
-    RowId* const end = begin + g.size;
-    const auto less = [&](RowId a, RowId b) { return HeapLess(n, a, b); };
-    switch (sort_mode_) {
-      case SortMode::kEager:
-        std::sort(begin, end, less);
-        break;
-      case SortMode::kLazy:
-      case SortMode::kQuickselect:
-        // The arena stays pristine (shareable across cursors); only the
-        // minimum's offset is precomputed so GroupBest / rank 0 are
-        // O(1). min_element picks the FIRST minimum, making rank 0
-        // deterministic across the fast path and every cursor's dyn
-        // state.
-        if (g.size > 0) {
-          g.min_pos = static_cast<uint32_t>(
-              std::min_element(begin, end, less) - begin);
-        }
-        break;
-    }
+    for (GroupId g = 0; g < n.groups.size(); ++g) OrganizeGroup(n, g);
   }
 }
 
@@ -836,10 +862,7 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
   std::vector<std::vector<char>> changed(out.nodes_.size());
 
   // Scratch reused across nodes.
-  std::vector<size_t> child_key_parent_cols;
-  std::vector<size_t> child_key_offset;
-  std::vector<Value> key_scratch;
-  std::vector<GroupId> row_child_groups;
+  ChildKeys keys;
   std::vector<GroupId> group_of_row;
   std::vector<char> touched;
   std::vector<CostT> old_best;
@@ -862,27 +885,6 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
       old_best[g] = out.GroupBest(idx, g);
     }
     touched.assign(num_groups, 0);
-
-    // Hoist the child-key column mapping exactly as ComputeBest does.
-    child_key_parent_cols.clear();
-    child_key_offset.assign(num_children + 1, 0);
-    const auto& my_vars = query.atom(n.atom).vars;
-    for (size_t ci = 0; ci < num_children; ++ci) {
-      const Node& c = out.nodes_[n.children[ci]];
-      const auto& child_vars = query.atom(c.atom).vars;
-      for (const size_t kc : c.key_cols) {
-        const VarId v = child_vars[kc];
-        size_t col = 0;
-        while (col < my_vars.size() && my_vars[col] != v) ++col;
-        TOPKJOIN_CHECK(col < my_vars.size());
-        child_key_parent_cols.push_back(col);
-      }
-      child_key_offset[ci + 1] = child_key_parent_cols.size();
-    }
-    const size_t parent_width = n.key_cols.size();
-    key_scratch.resize(std::max(
-        {parent_width, child_key_parent_cols.size(), size_t{1}}));
-    Value* const key_buf = key_scratch.data();
 
     // 1) Propagate child GroupBest improvements into existing rows.
     // Appends only improve (or keep) a group's best, so best[] values
@@ -911,11 +913,7 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
           }
         }
         if (!dirty) continue;
-        CostT cost = out.TupleCost(idx, r);
-        for (size_t ci = 0; ci < num_children; ++ci) {
-          cost = CM::Combine(
-              cost, out.GroupBest(n.children[ci], n.child_group(r, ci)));
-        }
+        CostT cost = out.RowBest(idx, r);
         if (!CostsEqual(cost, n.best[r])) {
           n.best[r] = std::move(cost);
           touched[group_of_row[r]] = 1;
@@ -923,8 +921,10 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
       }
     }
 
-    // 2) Fold in this node's appended tuples. Accepted tuples join
-    // existing groups in every direction; any miss refuses the patch.
+    // 2) Fold in this node's appended tuples: each is appended to the
+    // node's relation, then folded as a row of the node exactly as the
+    // build folds one. Accepted tuples join existing groups in every
+    // direction; any miss refuses the patch.
     appended.clear();
     const auto sit = start.find(query.atom(n.atom).relation);
     if (sit != start.end()) {
@@ -936,40 +936,21 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
       if (sit->second > live_rows) return std::nullopt;
       // One exact reallocation each instead of doubling growth: the
       // copied arenas arrive with capacity == size.
-      const size_t expect = live_rows - sit->second;
-      n.best.reserve(base_rows + expect);
-      n.child_groups.reserve(n.child_groups.size() + expect * num_children);
+      const size_t rows = base_rows + (live_rows - sit->second);
+      n.best.resize(rows);
+      n.child_groups.resize(rows * num_children);
+      out.MapChildKeys(n, &keys);
       for (size_t br = sit->second; br < live_rows; ++br) {
-        const auto tuple = live.Tuple(static_cast<RowId>(br));
-        const Weight w = live.TupleWeight(static_cast<RowId>(br));
-        uint64_t hash = 0x51ab42ae5c1970ffULL;
-        for (size_t c = 0; c < parent_width; ++c) {
-          key_buf[c] = tuple[n.key_cols[c]];
-          hash = HashMix(hash, static_cast<uint64_t>(key_buf[c]));
-        }
-        const GroupId g = n.key_index->Find(hash, key_buf);
-        if (g == GroupKeyIndex::kNoGroup) return std::nullopt;
-        CostT cost = CM::FromWeight(w);
-        row_child_groups.clear();
-        for (size_t ci = 0; ci < num_children; ++ci) {
-          const size_t begin = child_key_offset[ci];
-          const size_t width = child_key_offset[ci + 1] - begin;
-          uint64_t chash = 0x51ab42ae5c1970ffULL;
-          for (size_t k = 0; k < width; ++k) {
-            key_buf[k] = tuple[child_key_parent_cols[begin + k]];
-            chash = HashMix(chash, static_cast<uint64_t>(key_buf[k]));
-          }
-          const Node& c = out.nodes_[n.children[ci]];
-          const GroupId cg = c.key_index->Find(chash, key_buf);
-          if (cg == GroupKeyIndex::kNoGroup) return std::nullopt;
-          row_child_groups.push_back(cg);
-          cost = CM::Combine(cost, out.GroupBest(n.children[ci], cg));
-        }
         const RowId nr = static_cast<RowId>(n.rel.NumTuples());
-        n.rel.AddTuple(tuple, w);
-        n.best.push_back(std::move(cost));
-        n.child_groups.insert(n.child_groups.end(), row_child_groups.begin(),
-                              row_child_groups.end());
+        n.rel.AddTuple(live.Tuple(static_cast<RowId>(br)),
+                       live.TupleWeight(static_cast<RowId>(br)));
+        const uint64_t hash =
+            GatherKey(n.rel, nr, n.key_cols, keys.key.data());
+        const GroupId g = n.key_index->Find(hash, keys.key.data());
+        if (g == GroupKeyIndex::kNoGroup || !out.FoldRow(idx, nr, &keys)) {
+          return std::nullopt;
+        }
+        n.best[nr] = out.RowBest(idx, nr);
         appended.push_back({g, nr});
         touched[g] = 1;
       }
@@ -1013,23 +994,7 @@ std::optional<Tdp<CM>> Tdp<CM>::Patched(const Tdp& base,
     changed[idx].assign(num_groups, 0);
     for (GroupId g = 0; g < num_groups; ++g) {
       if (!touched[g]) continue;
-      Group& grp = n.groups[g];
-      RowId* const seg_begin = n.group_rows.data() + grp.begin;
-      RowId* const seg_end = seg_begin + grp.size;
-      const auto less = [&](RowId a, RowId b) {
-        return out.HeapLess(n, a, b);
-      };
-      switch (out.sort_mode_) {
-        case SortMode::kEager:
-          std::sort(seg_begin, seg_end, less);
-          grp.min_pos = 0;
-          break;
-        case SortMode::kLazy:
-        case SortMode::kQuickselect:
-          grp.min_pos = static_cast<uint32_t>(
-              std::min_element(seg_begin, seg_end, less) - seg_begin);
-          break;
-      }
+      out.OrganizeGroup(n, g);
       local.groups_refolded += 1;
       if (!CostsEqual(out.GroupBest(idx, g), old_best[g])) {
         changed[idx][g] = 1;

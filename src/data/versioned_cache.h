@@ -24,8 +24,8 @@
 // never downgrades), then the least recently used entry beyond capacity
 // is evicted. Capacity 0 turns caching off.
 //
-// Counting, in stats() and -- metrics permitting -- in the registry
-// counters <name>_hits, <name>_misses and <name>_patches:
+// Counting, in stats() and in the registry counters <name>_hits,
+// <name>_misses and <name>_patches:
 //   hit   -> hits;   patch -> misses + patches;   build -> misses + builds.
 //   invalidations: entries dropped without being salvaged (stale and
 //   unpatchable, or InvalidateDatabase). evictions: LRU capacity drops.

@@ -1,8 +1,9 @@
 // Plan execution: compiles a QueryPlan into a pull-based RankedIterator
-// pipeline -- the one streaming interface the engine serves from. Today
-// the pipelines are built from the any-k operator family (direct trees,
-// bag decompositions, the 4-cycle union); routing the top-k middleware
-// operators (src/topk/) through the same interface is a ROADMAP item.
+// pipeline -- the one streaming interface the engine serves from. The
+// pipelines are built from the any-k operator family (direct trees,
+// bag decompositions, the 4-cycle union). The top-k middleware and
+// rank-join operators (src/topk/) are baselines with their own
+// RankedSource interface, called directly rather than planned.
 //
 // Compilation is two calls. BuildArtifact pays the expensive, shareable
 // half (full reducer, bag materialization, T-DP build) once and returns

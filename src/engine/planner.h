@@ -6,7 +6,8 @@
 //
 //   * alpha-acyclic (GYO succeeds)  -> a single T-DP tree; choose among
 //     the any-k variants and the batch-then-sort baseline with simple
-//     cardinality/k heuristics (AGM output bound vs requested k).
+//     cardinality/k heuristics (requested k vs the sampled output
+//     estimate, clamped from above by the AGM bound).
 //   * cyclic, 4-cycle shaped        -> the heavy/light union-of-case
 //     plans (submodular-width style; O~(n^{1.5}) preprocessing).
 //   * cyclic, general               -> greedy acyclic grouping from

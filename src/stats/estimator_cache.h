@@ -54,7 +54,7 @@ class EstimatorCache {
     cache_.InvalidateDatabase(db);
   }
 
-  /// Lifetime counters; available with metrics compiled out.
+  /// Lifetime counters, kept by the cache itself (no registry read).
   VersionedCacheStats stats() const { return cache_.stats(); }
 
  private:

@@ -3,12 +3,15 @@
 // log (PreprocessingArtifact::TryPatch) and must enumerate exactly what
 // a cold rebuild over the new epoch enumerates -- while refolding only
 // the groups the delta touched.
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/anyk/artifact.h"
+#include "src/anyk/tdp.h"
 #include "src/data/database.h"
 #include "src/data/delta.h"
 #include "src/data/versioned_cache.h"
@@ -86,6 +89,69 @@ TEST(LiveUpdateTest, PatchingIsDioidGeneric) {
   ExpectPatchMatchesRebuild<MaxCost>(AnyKAlgorithm::kPartLazy);
   ExpectPatchMatchesRebuild<ProdCost>(AnyKAlgorithm::kPartLazy);
   ExpectPatchMatchesRebuild<LexCost>(AnyKAlgorithm::kPartLazy);
+}
+
+// The refold folds rows with the build's own rules, so a patched T-DP
+// is structurally a fresh build over the new snapshot: the same tuples,
+// best costs, child groups and group extents, and in the lazy modes
+// the same row arena and group minima. (Eager segments are sorted with
+// an unstable sort, so tie order within a group may differ.)
+template <typename CM>
+void ExpectPatchedTdpEqualsRebuild(size_t len, size_t tuples, Value domain,
+                                   uint64_t seed, SortMode mode) {
+  SCOPED_TRACE(::testing::Message() << "path-" << len << " seed " << seed
+                                    << " sort mode " << static_cast<int>(mode));
+  Instance t = MakePathInstance(len, tuples, domain, seed);
+  const uint64_t built_at = t.db.version();
+  const Tdp<CM> base(t.db, t.query, mode, nullptr);
+  ASSERT_TRUE(t.db.ApplyDelta(JoiningDelta(t, 0.25)).ok());
+  std::vector<AppendDelta> deltas;
+  ASSERT_TRUE(t.db.DeltasSince(built_at, &deltas));
+  const auto snap = t.db.Snapshot();
+  TdpPatchStats stats;
+  const std::optional<Tdp<CM>> patched =
+      Tdp<CM>::Patched(base, t.query, snap->view(), deltas, &stats);
+  ASSERT_TRUE(patched.has_value());
+  EXPECT_EQ(stats.rows_appended, len);
+  const Tdp<CM> fresh(snap->view(), t.query, mode, nullptr);
+
+  ASSERT_EQ(patched->NumNodes(), fresh.NumNodes());
+  for (size_t i = 0; i < fresh.NumNodes(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "node " << i);
+    const auto& p = patched->node(i);
+    const auto& f = fresh.node(i);
+    ASSERT_EQ(p.rel.NumTuples(), f.rel.NumTuples());
+    for (RowId r = 0; r < f.rel.NumTuples(); ++r) {
+      EXPECT_TRUE(std::ranges::equal(p.rel.Tuple(r), f.rel.Tuple(r)))
+          << "row " << r;
+      EXPECT_EQ(p.rel.TupleWeight(r), f.rel.TupleWeight(r)) << "row " << r;
+    }
+    EXPECT_EQ(p.best, f.best);
+    EXPECT_EQ(p.child_groups, f.child_groups);
+    ASSERT_EQ(p.groups.size(), f.groups.size());
+    for (GroupId g = 0; g < f.groups.size(); ++g) {
+      EXPECT_EQ(p.groups[g].begin, f.groups[g].begin) << "group " << g;
+      EXPECT_EQ(p.groups[g].size, f.groups[g].size) << "group " << g;
+      if (mode != SortMode::kEager) {
+        EXPECT_EQ(p.groups[g].min_pos, f.groups[g].min_pos) << "group " << g;
+      }
+    }
+    if (mode != SortMode::kEager) {
+      EXPECT_EQ(p.group_rows, f.group_rows);
+    }
+  }
+}
+
+TEST(LiveUpdateTest, PatchedTdpIsStructurallyAFreshBuild) {
+  for (const SortMode mode :
+       {SortMode::kEager, SortMode::kLazy, SortMode::kQuickselect}) {
+    for (const uint64_t seed : {7, 19, 23}) {
+      ExpectPatchedTdpEqualsRebuild<SumCost>(3, 60, 8, seed, mode);
+      ExpectPatchedTdpEqualsRebuild<MaxCost>(3, 60, 8, seed, mode);
+      ExpectPatchedTdpEqualsRebuild<LexCost>(3, 60, 8, seed, mode);
+      ExpectPatchedTdpEqualsRebuild<SumCost>(4, 30, 6, seed, mode);
+    }
+  }
 }
 
 TEST(LiveUpdateTest, PatchRefoldsOnlyTouchedGroups) {

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/anyk/batch.h"
+#include "src/anyk/tdp.h"
 #include "src/data/delta.h"
 #include "src/engine/engine.h"
 #include "src/engine/executor.h"
@@ -140,6 +142,21 @@ TEST(ExecContextTest, BuildArtifactDiscardsCancelledBuild) {
   auto artifact = BuildArtifact(t.db, t.query, plan.value(), nullptr);
   ASSERT_FALSE(artifact.ok());
   EXPECT_EQ(artifact.status().code(), StatusCode::kCancelled);
+}
+
+// BatchSorted enumerates the whole join output before its first result;
+// inside a cancelled scope that collection must stop at its first poll
+// and keep nothing (the T-DP itself is built outside the scope).
+TEST(ExecContextTest, BatchCollectionStopsWhenCancelled) {
+  Instance t = MakePathInstance(3, 60, 8, 11);
+  const Tdp<SumCost> tdp(t.db, t.query, SortMode::kEager, nullptr);
+  ASSERT_GT(BatchSorted<SumCost>(&tdp).TotalResults(), 0u);
+  CancelState state;
+  state.RequestCancel();
+  ExecContext::Scope scope(&state);
+  BatchSorted<SumCost> batch(&tdp);
+  EXPECT_EQ(batch.TotalResults(), 0u);
+  EXPECT_FALSE(batch.Next().has_value());
 }
 
 TEST(ExecContextTest, BuildArtifactDiscardsExpiredBuild) {
