@@ -5,7 +5,7 @@
 // join), and one virtual dispatch layer; target overhead is < 25% at
 // bench sizes for a one-shot Execute. Repeat requests through
 // ServingEngine skip the planning slice entirely via the plan cache
-// (bench_e12_planner measures that delta).
+// (perfbench's open_ms.p50 and planner.plan_us measure that delta).
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"

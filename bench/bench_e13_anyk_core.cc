@@ -2,8 +2,7 @@
 //
 // Measures, on path / star / cyclic workloads and for every ANYK-PART
 // successor variant of the pooled engine (eager, lazy, take2, memoized)
-// plus ANYK-REC and the retained legacy Lawler implementation
-// (anyk_part_legacy.h):
+// plus ANYK-REC:
 //
 //   * TTL(k): wall time to the k-th ranked result, k in {1, 10^3, 10^6}
 //     (one pass, checkpointed);
@@ -16,7 +15,8 @@
 // and runs it; emits BENCH_e13.json next to the binary. CI's
 // bench-smoke step feeds the JSON to tools/check_bench_e13.py, which
 // fails the build if Take2 pushes more than 2.5 candidates per result
-// or more than the legacy Lawler expansion on any workload.
+// or more than the pooled Lawler expansion (the `lazy` row) on any
+// workload.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,7 +28,6 @@
 
 #include "src/anyk/anyk.h"
 #include "src/anyk/anyk_part.h"
-#include "src/anyk/anyk_part_legacy.h"
 #include "src/anyk/anyk_rec.h"
 #include "src/anyk/tdp.h"
 #include "src/cycles/fourcycle.h"
@@ -158,10 +157,6 @@ template <typename CM>
 Readouts RunDirectWorkload(const Workload& w,
                            const std::vector<size_t>& checkpoints) {
   Readouts out;
-  out["legacy-lazy"] =
-      RunDirect<CM>(w, SortMode::kLazy, checkpoints, [](auto* tdp) {
-        return std::make_unique<LegacyAnyKPart<CM>>(tdp);
-      });
   out["eager"] = RunDirect<CM>(w, SortMode::kEager, checkpoints, [](auto* tdp) {
     return std::make_unique<AnyKPart<CM, PartStrategy::kLawler>>(tdp);
   });
@@ -256,9 +251,9 @@ int main() {
   using namespace topkjoin;
 
   // Sized so the 4-atom path holds ~1.5e8 results and the star ~2e6 --
-  // k = 10^6 stays a genuine top-k prefix on the path (the acceptance
-  // point for the Take2-vs-legacy TTL comparison) -- while the
-  // preprocessing stays input-linear. The path runs under SUM and under
+  // k = 10^6 stays a genuine top-k prefix on the path (the point of the
+  // Take2-vs-Lawler TTL comparison) -- while the preprocessing stays
+  // input-linear. The path runs under SUM and under
   // MAX (the paper's bottleneck ranking): MAX's dense cost ties are
   // where the monotone radix frontier shines brightest.
   Workload path = PathWorkload(4, 4000, 120, 41);

@@ -127,7 +127,6 @@ class GroupKeyIndex {
   }
 
   size_t width() const { return width_; }
-  size_t num_keys() const { return num_keys_; }
 
   /// Resident bytes of the slot table and key arena (instrumentation).
   size_t ApproxBytes() const {
@@ -528,21 +527,6 @@ class TdpCursor {
   /// cursor's GroupTuple. Together with an algorithm's pq_pushes() this
   /// is the per-result work the any-k delay guarantee bounds.
   int64_t heap_extractions() const { return heap_extractions_; }
-
-  /// Resident bytes of this cursor's private sorting state (the
-  /// per-enumeration share of candidate memory; the shared Tdp arenas
-  /// are accounted by Tdp::ApproxBytes).
-  size_t ApproxBytes() const {
-    size_t total = dyns_.capacity() * sizeof(GroupDyn);
-    for (const GroupDyn& d : dyns_) {
-      total += d.rows.capacity() * sizeof(RowId) +
-               d.pivots.capacity() * sizeof(uint32_t);
-    }
-    for (const std::vector<uint32_t>& slots : dyn_slot_) {
-      total += slots.capacity() * sizeof(uint32_t);
-    }
-    return total;
-  }
 
  private:
   static constexpr uint32_t kNoDyn = static_cast<uint32_t>(-1);

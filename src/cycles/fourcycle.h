@@ -85,9 +85,9 @@ size_t ChooseFourCycleThreshold(const Database& db,
 /// Ranked enumeration of 4-cycles by merging per-case any-k streams.
 /// The cases partition the result space, so no deduplication is needed.
 /// The case bags carry per-tuple member weights, so any cost dioid
-/// ranks exactly (LEX streams merge by their primary component, the
-/// only part of the vector cost a merged double-valued stream can
-/// observe; within each case the full lexicographic order holds).
+/// ranks exactly: UnionAnyK merges the case streams on RankedCostLess
+/// (the primary cost, then the full component vector), so LEX ties on
+/// the primary component resolve across cases as within each case.
 /// `threshold`: as in BuildFourCyclePlans.
 std::unique_ptr<RankedIterator> MakeFourCycleAnyK(
     const Database& db, const ConjunctiveQuery& query,

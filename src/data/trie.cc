@@ -24,8 +24,6 @@ SortedTrie::SortedTrie(const Relation& relation,
 
 TrieIterator::TrieIterator(const SortedTrie& trie) : trie_(trie) {}
 
-void TrieIterator::Reset() { frames_.clear(); }
-
 bool TrieIterator::AtEnd() const {
   TOPKJOIN_DCHECK(!frames_.empty());
   const Frame& f = frames_.back();
@@ -124,12 +122,6 @@ std::pair<size_t, size_t> TrieIterator::CurrentGroup() const {
 RowId TrieIterator::CurrentRow() const {
   TOPKJOIN_DCHECK(frames_.size() == trie_.depth() && !AtEnd());
   return trie_.sorted_rows()[frames_.back().pos];
-}
-
-size_t TrieIterator::CurrentRangeSize() const {
-  if (frames_.empty()) return trie_.sorted_rows().size();
-  const Frame& f = frames_.back();
-  return f.end - f.pos;
 }
 
 }  // namespace topkjoin

@@ -56,9 +56,6 @@ class TrieIterator {
  public:
   explicit TrieIterator(const SortedTrie& trie);
 
-  /// Depth of the cursor: 0 = at root (no level open).
-  size_t CurrentDepth() const { return frames_.size(); }
-
   bool AtEnd() const;
   Value Key() const;
 
@@ -79,15 +76,7 @@ class TrieIterator {
 
   const SortedTrie& trie() const { return trie_; }
 
-  /// Number of sorted positions spanned by the current node's children
-  /// (an upper bound on the keys below; used to pick the smallest
-  /// relation to iterate in Generic-Join).
-  size_t CurrentRangeSize() const;
-
   int64_t num_seeks() const { return num_seeks_; }
-
-  /// Resets the cursor to the root.
-  void Reset();
 
  private:
   struct Frame {

@@ -6,12 +6,6 @@
 
 namespace topkjoin {
 
-void SortResultForComparison(Relation* result) {
-  std::vector<size_t> cols(result->arity());
-  std::iota(cols.begin(), cols.end(), 0);
-  result->SortByColumns(cols);
-}
-
 bool ResultsEqual(const Relation& a, const Relation& b, double weight_eps) {
   if (a.arity() != b.arity() || a.NumTuples() != b.NumTuples()) return false;
   Relation sa = a, sb = b;

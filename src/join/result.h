@@ -28,10 +28,6 @@ inline Relation MakeResultRelation(const ConjunctiveQuery& query,
   return Relation(std::move(name), std::move(attrs));
 }
 
-/// Canonicalizes a result relation for comparison in tests: sorts by all
-/// columns (then weight is irrelevant for comparison of value sets).
-void SortResultForComparison(Relation* result);
-
 /// True when two result relations contain the same bag of (tuple, weight)
 /// rows, up to order and a small weight tolerance.
 bool ResultsEqual(const Relation& a, const Relation& b, double weight_eps);

@@ -259,17 +259,4 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::ResetForTesting() {
-  MutexLock lock(&mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace topkjoin

@@ -86,8 +86,6 @@ class Counter {
   }
   void Increment() { Add(1); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Not linearizable against concurrent Add; tests only.
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -109,8 +107,6 @@ class Gauge {
     }
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Not linearizable against concurrent updates; tests only.
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -203,9 +199,6 @@ class Histogram {
   /// Folds a drained local histogram in (bucketwise atomic adds).
   void Merge(const class LocalHistogram& local);
 
-  /// Not linearizable against concurrent Record; tests only.
-  void Reset();
-
  private:
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
@@ -267,10 +260,6 @@ class MetricsRegistry {
   /// Copies every registered metric. Safe against concurrent
   /// recording (values are a recent-past view) and concurrent Get*.
   MetricsSnapshot Snapshot() const EXCLUDES(mu_);
-
-  /// Zeroes every registered metric (pointers stay valid). Tests
-  /// only -- concurrent recorders may interleave with the reset.
-  void ResetForTesting() EXCLUDES(mu_);
 
  private:
   MetricsRegistry() = default;

@@ -11,9 +11,9 @@
 //     any sub-join of the query -- output, bag, or join edge;
 //   * correlated join-key sketches (composite-key frequency maps over
 //     the samples) answer per-edge selectivity queries
-//     (EstimateEdgeSelectivity) -- exported for explanation and for
-//     future routing heuristics such as the 4-cycle heavy/light
-//     threshold (see ROADMAP);
+//     (EstimateEdgeSelectivity) -- exported for explanation and
+//     scaling the probe hit rate in the 4-cycle heavy/light threshold
+//     choice (ChooseFourCycleThreshold);
 //   * an independence-assumption estimate from distinct-value counts,
 //     capped at the sampling resolution, backstops empty sampled joins
 //     (an empty sampled join means the sketches over the same samples
@@ -45,7 +45,7 @@ struct EstimatorOptions {
   /// Maximum sampled tuples per relation. Larger samples tighten the
   /// envelope on sparse joins at linear memory/estimation cost; the
   /// default keeps a transient per-plan build cheap relative to join
-  /// preprocessing (see bench_e10/e12).
+  /// preprocessing (see bench_e10).
   size_t sample_size = 256;
   /// Exploration budget (index probes) per sample-join estimate; when
   /// exhausted the partial count is extrapolated from the fraction of

@@ -42,7 +42,6 @@ struct JStar::Impl {
     bool operator>(const State& o) const { return f > o.f; }
   };
   std::priority_queue<State, std::vector<State>, std::greater<State>> pq;
-  int64_t states_pushed = 0;
 
   // Bucket of atom `depth` for the prefix bound by `rows`.
   const std::vector<RowId>* BucketFor(size_t depth,
@@ -68,11 +67,6 @@ struct JStar::Impl {
     const auto it = a.buckets.find(key);
     if (it == a.buckets.end()) return nullptr;
     return &it->second;
-  }
-
-  void PushState(State s) {
-    pq.push(std::move(s));
-    ++states_pushed;
   }
 
   // Builds the state extending `prefix_rows` with the bucket row at
@@ -159,7 +153,7 @@ JStar::JStar(const Database& db, const ConjunctiveQuery& query,
             });
   // Seed.
   Impl::State seed;
-  if (im.MakeState(0, {}, 0.0, 0, &seed)) im.PushState(std::move(seed));
+  if (im.MakeState(0, {}, 0.0, 0, &seed)) im.pq.push(std::move(seed));
 }
 
 JStar::~JStar() = default;
@@ -177,7 +171,7 @@ std::optional<std::pair<std::vector<Value>, double>> JStar::Next() {
           s.g - im.atoms[depth - 1].rel->TupleWeight(s.rows.back());
       Impl::State sib;
       if (im.MakeState(depth - 1, prefix, prefix_g, s.pos + 1, &sib)) {
-        im.PushState(std::move(sib));
+        im.pq.push(std::move(sib));
       }
     }
     if (depth == im.atoms.size()) {
@@ -196,7 +190,7 @@ std::optional<std::pair<std::vector<Value>, double>> JStar::Next() {
     // Child: first row of the next atom's bucket.
     Impl::State child;
     if (im.MakeState(depth, s.rows, s.g, 0, &child)) {
-      im.PushState(std::move(child));
+      im.pq.push(std::move(child));
     }
   }
   return std::nullopt;
@@ -205,7 +199,5 @@ std::optional<std::pair<std::vector<Value>, double>> JStar::Next() {
 int64_t JStar::FrontierSize() const {
   return static_cast<int64_t>(impl_->pq.size());
 }
-
-int64_t JStar::StatesPushed() const { return impl_->states_pushed; }
 
 }  // namespace topkjoin

@@ -33,8 +33,6 @@ class JStar {
 
   /// Current priority-queue size (the live search frontier).
   int64_t FrontierSize() const;
-  /// Total states ever pushed (RAM-model work measure).
-  int64_t StatesPushed() const;
 
  private:
   struct Impl;

@@ -60,9 +60,6 @@ struct CancelState {
   void SetDeadline(std::chrono::steady_clock::time_point tp) {
     deadline_ns.store(SteadyPointNs(tp), std::memory_order_release);
   }
-  bool CancelRequested() const {
-    return cancelled.load(std::memory_order_acquire);
-  }
   /// True when a deadline is set and has passed (reads the clock).
   bool DeadlineExpired() const {
     const int64_t dl = deadline_ns.load(std::memory_order_acquire);

@@ -6,26 +6,27 @@
 //     (counted with a global operator-new override: doubling the input
 //     must not grow the allocation count anywhere near linearly);
 //   * zero candidate copies per Next() -- the pooled prefix-sharing
-//     nodes and the intrusive index heap replaced the fat Candidate
-//     objects the legacy engine deep-copied out of
-//     priority_queue::top() (counted with a copy-counting cost type;
-//     the retained legacy engine trips the same counter, proving the
-//     pin is not vacuous);
+//     nodes and the intrusive index heap hand results out without
+//     copying a candidate (counted with a copy-counting cost type; a
+//     minimal stub that copies its frontier top on every Next(), as a
+//     priority_queue::top() engine with fat candidates must, trips the
+//     same counter, proving the pin is not vacuous);
 //   * Take2 frontier discipline -- at most 2 pushes per popped result
-//     (vs ell for the Lawler expansion), never more than legacy, with
-//     identical ranked output;
-//   * a smaller peak candidate footprint than legacy on the same
-//     workload.
+//     (vs ell for the Lawler expansion), never more than the pooled
+//     Lawler engine, with identical ranked output under SUM and MAX;
+//   * a smaller peak candidate footprint than the pooled Lawler engine
+//     on the same workload.
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/anyk/anyk_part.h"
-#include "src/anyk/anyk_part_legacy.h"
 #include "src/anyk/batch.h"
 #include "src/anyk/tdp.h"
 #include "src/data/generators.h"
@@ -185,69 +186,84 @@ TEST(ZeroCopyTest, PooledPartCopiesNoCandidatesPerNext) {
   }
 }
 
-// The counter is not vacuous: the legacy engine's top() deep copy (and
-// its per-successor candidate construction) trips it at least once per
+// The counter is not vacuous: a minimal engine that copies its frontier
+// top out on every Next() -- what a priority_queue::top() engine over
+// fat candidates must do, since top() is const -- trips it once per
 // result.
-TEST(ZeroCopyTest, LegacyPartCopiesCandidates) {
-  TestInstance t = MakePathInstance(3, 60, 5, 3);
-  Tdp<CountingCost> tdp(t.db, t.query, SortMode::kLazy, nullptr);
-  LegacyAnyKPart<CountingCost> legacy(&tdp);
+struct CopyingStub {
+  size_t remaining = 0;
+  CountedDouble top{1.0};
+  std::optional<CountedDouble> Next() {
+    if (remaining == 0) return std::nullopt;
+    --remaining;
+    return top;
+  }
+};
+
+TEST(ZeroCopyTest, CopyingStubTripsTheCounter) {
+  CopyingStub stub{.remaining = 500};
   size_t results = 0;
-  const int64_t copies = CopiesPerFullDrain(&legacy, &results);
+  const int64_t copies = CopiesPerFullDrain(&stub, &results);
+  EXPECT_EQ(results, 500u);
   EXPECT_GE(copies, static_cast<int64_t>(results));
 }
 
 // -------------------------------------------------- take2 push discipline
 
-TEST(Take2Test, AtMostTwoPushesPerResultAndNeverMoreThanLegacy) {
+// Drains Take2 and the pooled Lawler engine (each over its own kLazy
+// T-DP) on the e13 push-gate shape under the ranking CM.
+template <typename CM>
+void ExpectTake2PushesWithinLawler() {
   for (uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE(std::string(CM::kName) + " seed " + std::to_string(seed));
     TestInstance t = MakePathInstance(4, 40, 4, seed);
 
-    Tdp<SumCost> tdp_take2(t.db, t.query, SortMode::kLazy, nullptr);
-    AnyKPart<SumCost, PartStrategy::kTake2> take2(&tdp_take2);
+    Tdp<CM> tdp_take2(t.db, t.query, SortMode::kLazy, nullptr);
+    AnyKPart<CM, PartStrategy::kTake2> take2(&tdp_take2);
     std::vector<double> take2_costs;
     while (auto r = take2.Next()) take2_costs.push_back(r->cost);
 
-    Tdp<SumCost> tdp_legacy(t.db, t.query, SortMode::kLazy, nullptr);
-    LegacyAnyKPart<SumCost> legacy(&tdp_legacy);
-    std::vector<double> legacy_costs;
-    while (auto r = legacy.Next()) legacy_costs.push_back(r->cost);
+    Tdp<CM> tdp_lawler(t.db, t.query, SortMode::kLazy, nullptr);
+    AnyKPart<CM, PartStrategy::kLawler> lawler(&tdp_lawler);
+    std::vector<double> lawler_costs;
+    while (auto r = lawler.Next()) lawler_costs.push_back(r->cost);
 
-    ASSERT_EQ(take2_costs.size(), legacy_costs.size()) << "seed " << seed;
+    ASSERT_EQ(take2_costs.size(), lawler_costs.size());
     for (size_t i = 0; i < take2_costs.size(); ++i) {
-      EXPECT_NEAR(take2_costs[i], legacy_costs[i], 1e-9)
-          << "seed " << seed << " rank " << i;
+      EXPECT_NEAR(take2_costs[i], lawler_costs[i], 1e-9) << "rank " << i;
     }
     if (take2_costs.empty()) continue;
     // <= 2 pushes per popped result (+1 for the seed).
     EXPECT_LE(take2.pq_pushes(),
-              2 * static_cast<int64_t>(take2_costs.size()) + 1)
-        << "seed " << seed;
-    EXPECT_LE(take2.pq_pushes(), legacy.pq_pushes()) << "seed " << seed;
+              2 * static_cast<int64_t>(take2_costs.size()) + 1);
+    EXPECT_LE(take2.pq_pushes(), lawler.pq_pushes());
   }
 }
 
+TEST(Take2Test, AtMostTwoPushesPerResultAndNeverMoreThanLawler) {
+  ExpectTake2PushesWithinLawler<SumCost>();
+  ExpectTake2PushesWithinLawler<MaxCost>();
+}
+
 // Peak candidate memory in the top-k regime (k << output -- the regime
-// ranked enumeration exists for): the pooled nodes are a fraction of
-// the legacy fat candidates.
-TEST(Take2Test, TopKPeakCandidateMemoryBeatsLegacy) {
+// ranked enumeration exists for): Take2's sibling chains keep a smaller
+// frontier than the Lawler expansion's ell successors per result.
+TEST(Take2Test, TopKPeakCandidateMemoryBeatsLawler) {
   // The bench_e13 path workload shape at a k large enough that the
   // asymptotic footprints dominate fixed overheads (radix buckets,
-  // container rounding): the legacy frontier accumulates fat
-  // heap-allocated candidates while the pooled engine keeps 12-byte
-  // nodes and recycled deviation slabs.
+  // container rounding).
   TestInstance t = MakePathInstance(4, 1200, 100, 41);
   const size_t k = 200000;
 
   Tdp<SumCost> tdp_take2(t.db, t.query, SortMode::kLazy, nullptr);
   AnyKPart<SumCost, PartStrategy::kTake2> take2(&tdp_take2);
-  Tdp<SumCost> tdp_legacy(t.db, t.query, SortMode::kLazy, nullptr);
-  LegacyAnyKPart<SumCost> legacy(&tdp_legacy);
+  Tdp<SumCost> tdp_lawler(t.db, t.query, SortMode::kLazy, nullptr);
+  AnyKPart<SumCost, PartStrategy::kLawler> lawler(&tdp_lawler);
   for (size_t i = 0; i < k; ++i) {
     ASSERT_TRUE(take2.Next().has_value());
-    ASSERT_TRUE(legacy.Next().has_value());
+    ASSERT_TRUE(lawler.Next().has_value());
   }
-  EXPECT_LT(take2.peak_candidate_bytes(), legacy.peak_candidate_bytes());
+  EXPECT_LT(take2.peak_candidate_bytes(), lawler.peak_candidate_bytes());
 }
 
 // The full-drain regression the refcounted node recycling fixes: the
@@ -256,8 +272,7 @@ TEST(Take2Test, TopKPeakCandidateMemoryBeatsLegacy) {
 // chains were dead (their deviation lists exhausted, no frontier entry
 // pointing at any suffix). With per-node refcounts the dead chains are
 // freed back to an intrusive freelist and recycled, so the pool's
-// total slot count stays a small fraction of the result count -- and
-// the peak footprint no longer flips above legacy's on a full drain.
+// total slot count stays a small fraction of the result count.
 TEST(Take2Test, FullDrainRecyclesDeadCandidateChains) {
   TestInstance t = MakePathInstance(4, 40, 3, 2);
 
@@ -267,11 +282,11 @@ TEST(Take2Test, FullDrainRecyclesDeadCandidateChains) {
   while (take2.Next().has_value()) ++results;
   ASSERT_GT(results, 1000u);  // a real drain, not a toy
 
-  Tdp<SumCost> tdp_legacy(t.db, t.query, SortMode::kLazy, nullptr);
-  LegacyAnyKPart<SumCost> legacy(&tdp_legacy);
-  size_t legacy_results = 0;
-  while (legacy.Next().has_value()) ++legacy_results;
-  ASSERT_EQ(results, legacy_results);
+  Tdp<SumCost> tdp_lawler(t.db, t.query, SortMode::kLazy, nullptr);
+  AnyKPart<SumCost, PartStrategy::kLawler> lawler(&tdp_lawler);
+  size_t lawler_results = 0;
+  while (lawler.Next().has_value()) ++lawler_results;
+  ASSERT_EQ(results, lawler_results);
 
   // Without recycling the pool holds one node per push -- about one per
   // result on this drain; with it, live slots track the frontier + live
