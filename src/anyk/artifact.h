@@ -301,25 +301,11 @@ class BatchArtifact final : public PreprocessingArtifact {
   size_t approx_bytes_ = 0;
 };
 
-/// Keeps a union-of-cases artifact alive while a merged stream runs.
-class ArtifactStreamHolder : public RankedIterator {
- public:
-  ArtifactStreamHolder(std::shared_ptr<const PreprocessingArtifact> owner,
-                       std::unique_ptr<RankedIterator> inner)
-      : owner_(std::move(owner)), inner_(std::move(inner)) {}
-
-  std::optional<RankedResult> Next() override { return inner_->Next(); }
-  int64_t WorkUnits() const override { return inner_->WorkUnits(); }
-  PipelineCounters Counters() const override { return inner_->Counters(); }
-
- private:
-  std::shared_ptr<const PreprocessingArtifact> owner_;
-  std::unique_ptr<RankedIterator> inner_;
-};
-
 /// Union artifact (4-cycle heavy/light case plans): one shared artifact
 /// per case; a stream is the cost-ordered merge of fresh per-case
 /// streams. Cases partition the result space, so no deduplication.
+/// Each case stream holds its own case artifact, and this object owns
+/// nothing else a stream reads, so a merged stream needs no owner.
 class UnionArtifact final : public PreprocessingArtifact {
  public:
   explicit UnionArtifact(
@@ -333,8 +319,7 @@ class UnionArtifact final : public PreprocessingArtifact {
     std::vector<std::unique_ptr<RankedIterator>> inputs;
     inputs.reserve(cases_.size());
     for (const auto& c : cases_) inputs.push_back(c->NewStream());
-    return std::make_unique<ArtifactStreamHolder>(
-        shared_from_this(), std::make_unique<UnionAnyK>(std::move(inputs)));
+    return std::make_unique<UnionAnyK>(std::move(inputs));
   }
 
   size_t ApproxBytes() const override {

@@ -7,15 +7,11 @@ namespace topkjoin {
 
 namespace {
 
-// Sentinels for optional fields in the fingerprint encoding; the flag
-// word preceding each value keeps "absent" distinct from any real value.
-constexpr uint64_t kAbsent = 0;
-constexpr uint64_t kPresent = 1;
-
 // A stale plan is still trustworthy while every relation the delta gap
 // touched grew by at most this fraction: cardinality estimates (and the
-// grouping/strategy choices derived from them) degrade continuously
-// with growth, not at a cliff.
+// bag grouping and heavy/light threshold derived from them) degrade
+// continuously with growth, not at a cliff. The tree algorithm depends
+// on the request alone, so growth never changes it.
 constexpr double kMaxPatchGrowth = 0.10;
 
 }  // namespace
@@ -24,14 +20,14 @@ CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
                          const RankingSpec& ranking,
                          const ExecutionOptions& opts) {
   std::vector<uint64_t> e;
-  e.reserve(10 + query.NumAtoms() * 6);
+  e.reserve(8 + query.NumAtoms() * 6);
   e.push_back(static_cast<uint64_t>(query.num_vars()));
   e.push_back(static_cast<uint64_t>(ranking.model));
-  e.push_back(opts.k.has_value() ? kPresent : kAbsent);
-  e.push_back(opts.k.value_or(0));
-  e.push_back(opts.force_algorithm.has_value() ? kPresent : kAbsent);
-  e.push_back(static_cast<uint64_t>(
-      opts.force_algorithm.value_or(AnyKAlgorithm::kRec)));
+  // k reaches the plan only through the chosen algorithm, so requests
+  // whose k falls in one class share a plan and an artifact. A forced
+  // choice stays distinct: its rationale says so.
+  e.push_back(opts.force_algorithm.has_value() ? 1 : 0);
+  e.push_back(static_cast<uint64_t>(ChooseTreeAlgorithm(opts)));
   e.push_back(query.NumAtoms());
   for (const Atom& atom : query.atoms()) {
     e.push_back(static_cast<uint64_t>(atom.relation));

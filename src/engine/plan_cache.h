@@ -26,9 +26,11 @@ using PlanCacheStats = VersionedCacheStats;
 
 /// Structural identity of a plan request: equal iff the requests name
 /// the same Database object and encode the same (atoms, num_vars,
-/// ranking dioid, k, forced algorithm) -- everything PlanQuery's output
-/// depends on besides the data itself, which the cache's epoch covers.
-/// The artifact cache uses the same key.
+/// ranking dioid, tree algorithm, whether it was forced) -- everything
+/// PlanQuery's output depends on besides the data itself, which the
+/// cache's epoch covers. k enters only through the algorithm
+/// ChooseTreeAlgorithm resolves it to. The artifact cache uses the same
+/// key.
 CacheKey PlanFingerprint(const Database& db, const ConjunctiveQuery& query,
                          const RankingSpec& ranking,
                          const ExecutionOptions& opts);

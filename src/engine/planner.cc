@@ -1,6 +1,6 @@
 #include "src/engine/planner.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <optional>
@@ -55,51 +55,37 @@ double ResolveAgmBound(const StatusOr<double>& agm, QueryPlan* plan) {
 }
 
 // Chooses the per-tree algorithm for an acyclic (sub)plan from the
-// requested k and the output estimate. Section 4 of the paper: any-k
-// wins time-to-first-result, batch-then-sort amortizes best when nearly
-// the whole output is consumed; among the any-k variants the PART
-// family reaches the first results fastest while REC amortizes toward a
-// full drain.
+// request alone. After linear preprocessing every any-k variant streams
+// at a logarithmic delay per result, so no output estimate is consulted:
+// the PART family (Take2) reaches the first results fastest, while REC
+// amortizes best toward a full drain.
 AnyKAlgorithm ChooseTreeAlgorithm(const ExecutionOptions& opts,
-                                  double estimated_output, QueryPlan* plan) {
+                                  QueryPlan* plan) {
   if (opts.force_algorithm.has_value()) {
-    Explain(plan, std::string("algorithm forced by caller: ") +
-                      AnyKAlgorithmName(*opts.force_algorithm));
+    if (plan != nullptr) {
+      Explain(plan, std::string("algorithm forced by caller: ") +
+                        AnyKAlgorithmName(*opts.force_algorithm));
+    }
     return *opts.force_algorithm;
   }
-  if (!opts.k.has_value()) {
-    Explain(plan,
-            "k unknown: keep the anytime property with anyk-rec "
-            "(best full-drain amortization among streaming variants)");
-    return AnyKAlgorithm::kRec;
-  }
-  const double k = static_cast<double>(*opts.k);
-  const bool output_known = std::isfinite(estimated_output);
-  if (!output_known) {
-    Explain(plan,
-            "output estimate unknown: batch-then-sort disabled (it pays "
-            "for the whole output up front), staying any-k");
-  }
-  if (output_known && *opts.k > kAlwaysAnyKThreshold &&
-      k >= kBatchOutputFraction * estimated_output) {
-    Explain(plan, "k=" + FormatCount(k) + " >= " +
-                      FormatCount(kBatchOutputFraction) +
-                      " * estimated output " + FormatCount(estimated_output) +
-                      ": batch-then-sort amortizes best");
-    return AnyKAlgorithm::kBatch;
-  }
-  if (*opts.k <= kAlwaysAnyKThreshold) {
-    Explain(plan, "k=" + FormatCount(k) +
-                      " is small: anyk-part minimizes "
-                      "time-to-first-result");
-    Explain(plan,
-            "anyk-part variant defaulted to take2 (<= 2 frontier pushes "
-            "per result vs ell for eager/lazy)");
+  if (opts.k.has_value() && *opts.k <= kAlwaysAnyKThreshold) {
+    if (plan != nullptr) {
+      Explain(plan, "k <= " + std::to_string(kAlwaysAnyKThreshold) +
+                        ": anyk-part take2 minimizes time-to-first-result "
+                        "(<= 2 frontier pushes per result vs ell for "
+                        "eager/lazy)");
+    }
     return AnyKAlgorithm::kPartTake2;
   }
-  Explain(plan, "k=" + FormatCount(k) + " is moderate vs estimated output " +
-                    FormatCount(estimated_output) +
-                    ": anyk-rec balances delay and total time");
+  if (plan != nullptr) {
+    Explain(plan, opts.k.has_value()
+                      ? "k > " + std::to_string(kAlwaysAnyKThreshold) +
+                            ": anyk-rec balances delay and total time"
+                      : std::string("k unknown: keep the anytime property "
+                                    "with anyk-rec (best full-drain "
+                                    "amortization among streaming "
+                                    "variants)"));
+  }
   return AnyKAlgorithm::kRec;
 }
 
@@ -125,8 +111,6 @@ std::string QueryPlan::DebugString() const {
   out += AnyKAlgorithmName(algorithm);
   out += ", ranking=";
   out += CostModelName(ranking.model);
-  out += ", k=";
-  out += k.has_value() ? FormatCount(static_cast<double>(*k)) : "all";
   out += ", est_output=";
   out += FormatCount(estimated_output);
   out += ", est_intermediate=";
@@ -180,7 +164,6 @@ StatusOr<QueryPlan> PlanQuery(const Database& db,
 
   QueryPlan plan;
   plan.ranking = ranking;
-  plan.k = opts.k;
   plan.agm_bound = ResolveAgmBound(AgmBound(query, db), &plan);
 
   // Instance cardinalities from the sampling estimator, with the AGM
@@ -200,8 +183,7 @@ StatusOr<QueryPlan> PlanQuery(const Database& db,
   if (IsAcyclic(query)) {
     Explain(&plan, "GYO reduction succeeds: query is alpha-acyclic, "
                    "single T-DP tree suffices");
-    plan.algorithm =
-        ChooseTreeAlgorithm(opts, plan.estimated_output, &plan);
+    plan.algorithm = ChooseTreeAlgorithm(opts, &plan);
     plan.strategy = plan.algorithm == AnyKAlgorithm::kBatch
                         ? PlanStrategy::kBatchSort
                         : PlanStrategy::kAnyKDirect;
@@ -266,9 +248,9 @@ StatusOr<QueryPlan> PlanQuery(const Database& db,
                        "] tuples; any-k runs over the materialized bag "
                        "query");
   }
-  // Inside decomposed plans the tree algorithm still follows the k
-  // heuristic (each case/bag query is acyclic).
-  plan.algorithm = ChooseTreeAlgorithm(opts, plan.estimated_output, &plan);
+  // Inside decomposed plans the tree algorithm follows the same rule
+  // (each case/bag query is acyclic).
+  plan.algorithm = ChooseTreeAlgorithm(opts, &plan);
   return plan;
 }
 

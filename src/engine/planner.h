@@ -4,10 +4,10 @@
 // optional result demand k, the planner routes the query to the right
 // algorithm family, the way the paper's tutorial framing implies:
 //
-//   * alpha-acyclic (GYO succeeds)  -> a single T-DP tree; choose among
-//     the any-k variants and the batch-then-sort baseline with simple
-//     cardinality/k heuristics (requested k vs the sampled output
-//     estimate, clamped from above by the AGM bound).
+//   * alpha-acyclic (GYO succeeds)  -> a single T-DP tree, enumerated
+//     by the any-k variant the request's k class selects (Take2 for a
+//     small k, REC otherwise). No estimate enters that choice; the
+//     batch-then-sort baseline runs only when the caller forces it.
 //   * cyclic, 4-cycle shaped        -> the heavy/light union-of-case
 //     plans (submodular-width style; O~(n^{1.5}) preprocessing).
 //   * cyclic, general               -> greedy acyclic grouping from
@@ -44,7 +44,8 @@ struct ExecutionOptions {
   /// Expected number of results the caller will consume; nullopt means
   /// "unknown / possibly all" and keeps the anytime property.
   std::optional<size_t> k;
-  /// Overrides the planner's tree-algorithm heuristic when set.
+  /// Overrides the planner's tree-algorithm choice when set; the only
+  /// way to get the batch-then-sort baseline.
   std::optional<AnyKAlgorithm> force_algorithm;
   /// Attach a QueryTrace (phase timings + per-k TTL milestones, see
   /// src/obs/trace.h) to the execution: ExecutionResult::trace for
@@ -63,7 +64,7 @@ struct ExecutionOptions {
 /// The structural family a plan belongs to.
 enum class PlanStrategy {
   kAnyKDirect,   // acyclic: one T-DP over the query as written
-  kBatchSort,    // acyclic: full enumeration + sort (large-k regime)
+  kBatchSort,    // acyclic: full enumeration + sort (forced baseline)
   kDecompose,    // cyclic: one acyclic grouping, materialized bags
   kUnionCases,   // cyclic 4-cycle: heavy/light case plans + ranked union
 };
@@ -77,7 +78,6 @@ struct QueryPlan {
   PlanStrategy strategy = PlanStrategy::kAnyKDirect;
   AnyKAlgorithm algorithm = AnyKAlgorithm::kRec;
   RankingSpec ranking;
-  std::optional<size_t> k;
   std::optional<AtomGrouping> grouping;
   /// Best available output-size estimate: the sampling estimator's
   /// value clamped from above by the AGM bound. +infinity only when
@@ -103,12 +103,9 @@ struct QueryPlan {
   std::string DebugString() const;
 };
 
-/// Above this many requested results (relative to the estimated output)
-/// the planner prefers batch-then-sort over any-k: the paper's Section 4
-/// trade-off between time-to-first and time-to-last result.
-inline constexpr double kBatchOutputFraction = 0.5;
-/// Requested k at or below this always stays any-k regardless of the
-/// estimate (time-to-first dominates).
+/// Requested k at or below this streams with ANYK-PART Take2, which
+/// reaches the first results fastest; a larger or unknown k streams with
+/// ANYK-REC, which amortizes best toward a full drain.
 inline constexpr size_t kAlwaysAnyKThreshold = 128;
 
 /// Plans the query. Fails (Status) when the query is empty or references
@@ -133,17 +130,17 @@ StatusOr<QueryPlan> PlanQuery(const Database& db,
 
 /// (Exposed for tests.) Folds the AGM LP outcome into the plan's
 /// `agm_bound`: a failed bound becomes +infinity ("unknown") with an
-/// Explain note -- never 0, which ChooseTreeAlgorithm would read as
-/// "tiny output" and use to justify batch-then-sort.
+/// Explain note -- never 0, which the output clamp would turn into an
+/// `estimated_output` of 0 that admission control then under-prices.
 double ResolveAgmBound(const StatusOr<double>& agm, QueryPlan* plan);
 
-/// (Exposed for tests.) The per-tree algorithm heuristic: batch beyond
-/// kBatchOutputFraction of the estimated output, any-k otherwise. A
-/// non-finite (unknown) estimate disables the batch route entirely --
-/// batch-then-sort is only safe when the output is known to be bounded
-/// near k.
+/// The per-tree algorithm, a pure function of the request: the forced
+/// algorithm if set, kPartTake2 for a known k <= kAlwaysAnyKThreshold,
+/// kRec otherwise. Never kBatch unless forced. Appends the reason to
+/// `plan`'s rationale when `plan` is not null; the reason names the k
+/// class, not the raw k, since every k in a class shares one plan.
 AnyKAlgorithm ChooseTreeAlgorithm(const ExecutionOptions& opts,
-                                  double estimated_output, QueryPlan* plan);
+                                  QueryPlan* plan = nullptr);
 
 }  // namespace topkjoin
 

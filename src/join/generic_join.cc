@@ -210,12 +210,11 @@ class Engine {
     if (atom_idx == atoms_.size()) {
       found_any_ = true;
       if (stats_ != nullptr) ++stats_->output_tuples;
-      if (options_.materialize) output_->AddTuple(assignment_, weight);
-      if (options_.on_result != nullptr &&
-          !options_.on_result(assignment_, weight)) {
+      if (options_.boolean_mode) {
         stop_ = true;
+      } else {
+        output_->AddTuple(assignment_, weight);
       }
-      if (options_.boolean_mode) stop_ = true;
       return;
     }
     for (RowId r : leaf_rows_[atom_idx]) {
@@ -262,7 +261,6 @@ bool GenericJoinBoolean(const Database& db, const ConjunctiveQuery& query,
                         JoinStats* stats) {
   GenericJoinOptions options;
   options.boolean_mode = true;
-  options.materialize = false;
   return GenericJoin(db, query, options, stats).found_any;
 }
 

@@ -11,7 +11,6 @@
 #ifndef TOPKJOIN_JOIN_GENERIC_JOIN_H_
 #define TOPKJOIN_JOIN_GENERIC_JOIN_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/data/database.h"
@@ -24,14 +23,9 @@ namespace topkjoin {
 struct GenericJoinOptions {
   /// Global variable order. Empty = ascending VarId order.
   std::vector<VarId> var_order;
-  /// When true, stop after the first result (Boolean query).
+  /// When true, stop after the first result and materialize nothing
+  /// (Boolean query: only `found_any` is meaningful).
   bool boolean_mode = false;
-  /// Optional callback invoked per result (assignment indexed by VarId,
-  /// weight = sum of matched tuples). When it returns false, enumeration
-  /// stops early. When set, results are still materialized unless
-  /// `materialize` is false.
-  std::function<bool(const std::vector<Value>&, Weight)> on_result;
-  bool materialize = true;
 };
 
 /// Result of a GenericJoin run.

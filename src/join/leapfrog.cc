@@ -139,12 +139,11 @@ class Engine {
     if (atom_idx == atoms_.size()) {
       found_any_ = true;
       if (stats_ != nullptr) ++stats_->output_tuples;
-      if (options_.materialize) output_->AddTuple(assignment_, weight);
-      if (options_.on_result != nullptr &&
-          !options_.on_result(assignment_, weight)) {
+      if (options_.boolean_mode) {
         stop_ = true;
+      } else {
+        output_->AddTuple(assignment_, weight);
       }
-      if (options_.boolean_mode) stop_ = true;
       return;
     }
     const Relation& rel = atoms_[atom_idx].trie->relation();
@@ -187,7 +186,6 @@ bool LeapfrogBoolean(const Database& db, const ConjunctiveQuery& query,
                      JoinStats* stats) {
   LeapfrogOptions options;
   options.boolean_mode = true;
-  options.materialize = false;
   return LeapfrogTriejoin(db, query, options, stats).found_any;
 }
 

@@ -5,7 +5,6 @@
 #ifndef TOPKJOIN_JOIN_LEAPFROG_H_
 #define TOPKJOIN_JOIN_LEAPFROG_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/data/database.h"
@@ -16,9 +15,8 @@ namespace topkjoin {
 
 struct LeapfrogOptions {
   std::vector<VarId> var_order;  // empty = ascending VarId order
+  /// Stop after the first result and materialize nothing.
   bool boolean_mode = false;
-  std::function<bool(const std::vector<Value>&, Weight)> on_result;
-  bool materialize = true;
 };
 
 struct LeapfrogResult {

@@ -377,8 +377,9 @@ TEST(DifferentialTest, RandomQueriesMatchBruteForceOracleAcrossDioids) {
   EXPECT_EQ(acyclic_count + cyclic_count, num_queries);
 }
 
-// The planner's k hint changes the chosen algorithm (any-k variant vs
-// batch-then-sort); none of them may change the stream's content. Pin a
+// The planner's k class and the forced baselines change the chosen
+// algorithm (any-k variant or batch-then-sort); none of them may change
+// the stream's content. Pin a
 // smaller sweep of every forced algorithm under every dioid, on direct,
 // batch, bag and union plans: each cell instantiates its own artifact
 // class through the one (algorithm -> class x SortMode) table in

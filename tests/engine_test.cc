@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,7 +53,7 @@ TEST(PlannerTest, SmallKPicksAnyK) {
 
 // force_algorithm is the one any-k selector: each forced PART variant
 // is the plan's algorithm, the Explain rationale names it, and it
-// overrides the planner's routing even where the heuristic would batch.
+// overrides the planner's choice for a small and a large k alike.
 TEST(PlannerTest, AnyKVariantSelectsPartStrategy) {
   Instance t = MakePathInstance(3, 60, 5, 7);
   Engine engine;
@@ -74,15 +75,18 @@ TEST(PlannerTest, AnyKVariantSelectsPartStrategy) {
   }
 }
 
-TEST(PlannerTest, LargeKPicksBatch) {
+// A k beyond the whole output still streams: batch-then-sort is only
+// ever a forced baseline.
+TEST(PlannerTest, LargeKStaysRec) {
   Instance t = MakePathInstance(3, 60, 5, 7);
   Engine engine;
   ExecutionOptions opts;
   opts.k = 1u << 22;  // far beyond any possible output
   const auto plan = engine.Explain(t.db, t.query, {}, opts);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan.value().strategy, PlanStrategy::kBatchSort);
-  EXPECT_EQ(plan.value().algorithm, AnyKAlgorithm::kBatch);
+  EXPECT_EQ(plan.value().strategy, PlanStrategy::kAnyKDirect);
+  EXPECT_EQ(plan.value().algorithm, AnyKAlgorithm::kRec);
+  EXPECT_EQ(plan.value().estimated_intermediate, 0.0);
 }
 
 TEST(PlannerTest, UnknownKStaysAnytime) {
@@ -687,14 +691,16 @@ TEST(EngineEstimatorCacheTest, ExecuteReusesEstimatorUntilDbChanges) {
   const int64_t misses_before = misses->value();
   ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
   EXPECT_EQ(misses->value(), misses_before + 1);  // first touch builds
-  // Distinct k values are distinct plan requests: each misses the plan
-  // cache and plans over the one cached estimator.
-  ExecutionOptions k3;
-  k3.k = 3;
-  ExecutionOptions k5;
-  k5.k = 5;
-  ASSERT_TRUE(engine.Execute(t.db, t.query, {}, k3).ok());
-  ASSERT_TRUE(engine.Explain(t.db, t.query, {}, k5).ok());
+  // A distinct ranking and a forced algorithm are distinct plan
+  // requests: each misses the plan cache and plans over the one cached
+  // estimator.
+  RankingSpec max_rank;
+  max_rank.model = CostModelKind::kMax;
+  ExecutionOptions forced;
+  forced.force_algorithm = AnyKAlgorithm::kPartLazy;
+  ASSERT_TRUE(engine.Execute(t.db, t.query, max_rank).ok());
+  ASSERT_TRUE(engine.Explain(t.db, t.query, {}, forced).ok());
+  EXPECT_EQ(engine.GetPlanCacheStats().builds, 3u);
   EXPECT_EQ(misses->value(), misses_before + 1);  // same (db, version)
   EXPECT_EQ(hits->value(), hits_before + 2);
 
@@ -789,21 +795,114 @@ TEST(EngineCacheTest, ExplainThenOpenCursorPlansOnce) {
   EXPECT_TRUE(cursor.value()->trace()->plan_cache_hit);
 }
 
+// A 4-cycle over one Zipf-skewed edge relation whose sampled output
+// estimate (~64) is ~165x below the true output (10571).
+Instance MakeSkewedFourCycleInstance() {
+  Instance t;
+  Rng rng(2);
+  const RelationId e =
+      t.db.Add(SkewedBinaryRelation("E", 2000, 200, 1.3, rng));
+  t.query = FourCycleQuery(e);
+  return t;
+}
+
+std::vector<double> HeadCosts(RankedIterator* stream, size_t n) {
+  std::vector<double> costs;
+  while (costs.size() < n) {
+    auto r = stream->Next();
+    if (!r.has_value()) break;
+    costs.push_back(r->cost);
+  }
+  return costs;
+}
+
+// The tree algorithm is a function of the request alone. Each k class
+// routes the same way on a skewed 4-cycle whose estimate is far off and
+// on a path, whatever the estimate says: on both, k = 129 is at least
+// half the estimated output, where an estimate-driven rule would batch.
+// Forced requests keep their own plan. Requests whose k lands in one
+// class share one plan and one T-DP artifact.
+TEST(PlannerTest, KClassRoutesWhateverTheEstimate) {
+  std::vector<Instance> instances;
+  instances.push_back(MakeSkewedFourCycleInstance());
+  instances.push_back(MakePathInstance(2, 20, 8, 7));
+  struct Route {
+    std::optional<size_t> k;
+    AnyKAlgorithm algorithm;
+  };
+  const std::vector<Route> routes = {{std::nullopt, AnyKAlgorithm::kRec},
+                                     {10, AnyKAlgorithm::kPartTake2},
+                                     {129, AnyKAlgorithm::kRec},
+                                     {size_t{1} << 22, AnyKAlgorithm::kRec}};
+  for (const Instance& t : instances) {
+    Engine engine;
+    for (const Route& route : routes) {
+      ExecutionOptions opts;
+      opts.k = route.k;
+      const auto plan = engine.Explain(t.db, t.query, {}, opts);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_EQ(plan.value().algorithm, route.algorithm)
+          << "k=" << route.k.value_or(0);
+      EXPECT_NE(plan.value().strategy, PlanStrategy::kBatchSort);
+      EXPECT_LE(plan.value().estimated_output, 2.0 * 129);
+    }
+    // Unset, 129 and 2^22 share the kRec plan; 10 has its own.
+    EXPECT_EQ(engine.GetPlanCacheStats().builds, 2u);
+    ExecutionOptions forced;
+    forced.k = 10;
+    forced.force_algorithm = AnyKAlgorithm::kPartTake2;
+    ASSERT_TRUE(engine.Explain(t.db, t.query, {}, forced).ok());
+    EXPECT_EQ(engine.GetPlanCacheStats().builds, 3u);
+
+    Engine fresh;
+    ExecutionOptions k200;
+    k200.k = 200;
+    ExecutionOptions k10000;
+    k10000.k = 10000;
+    ASSERT_TRUE(fresh.Execute(t.db, t.query, {}, k200).ok());
+    auto deep = fresh.Execute(t.db, t.query, {}, k10000);
+    ASSERT_TRUE(deep.ok());
+    EXPECT_EQ(fresh.GetPlanCacheStats().builds, 1u);
+    EXPECT_EQ(fresh.GetArtifactCacheStats().builds, 1u);
+
+    ExecutionOptions batch = k10000;
+    batch.force_algorithm = AnyKAlgorithm::kBatch;
+    auto reference = fresh.Execute(t.db, t.query, {}, batch);
+    ASSERT_TRUE(reference.ok());
+    ExpectCosts(HeadCosts(deep.value().stream.get(), 10000),
+                HeadCosts(reference.value().stream.get(), 10000));
+  }
+}
+
 // Streams hold their artifact, not the Engine: a stream minted from a
 // cached artifact drains exactly after the Engine (and its caches) are
-// gone.
+// gone. The 4-cycle's merged stream holds only its case streams, and
+// each of those holds its own case artifact -- tree or batch replay.
 TEST(EngineCacheTest, CachedStreamDrainsAfterEngineIsDestroyed) {
-  Instance t = MakePathInstance(3, 40, 4, 3);
-  std::unique_ptr<RankedIterator> stream;
-  {
-    Engine engine;
-    ASSERT_TRUE(engine.Execute(t.db, t.query).ok());
-    auto warm = engine.Execute(t.db, t.query);
-    ASSERT_TRUE(warm.ok());
-    ASSERT_EQ(engine.GetArtifactCacheStats().hits, 1u);
-    stream = std::move(warm.value().stream);
+  ExecutionOptions batch;
+  batch.force_algorithm = AnyKAlgorithm::kBatch;
+  struct Input {
+    Instance instance;
+    ExecutionOptions opts;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({MakePathInstance(3, 40, 4, 3), {}});
+  inputs.push_back({MakePathInstance(3, 40, 4, 3), batch});
+  inputs.push_back({MakeFourCycleInstance(40, 6, 3), {}});
+  inputs.push_back({MakeFourCycleInstance(40, 6, 3), batch});
+  for (const Input& input : inputs) {
+    const Instance& t = input.instance;
+    std::unique_ptr<RankedIterator> stream;
+    {
+      Engine engine;
+      ASSERT_TRUE(engine.Execute(t.db, t.query, {}, input.opts).ok());
+      auto warm = engine.Execute(t.db, t.query, {}, input.opts);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_EQ(engine.GetArtifactCacheStats().hits, 1u);
+      stream = std::move(warm.value().stream);
+    }
+    ExpectCosts(Costs(Drain(stream.get())), OracleSortedCosts(t));
   }
-  ExpectCosts(Costs(Drain(stream.get())), OracleSortedCosts(t));
 }
 
 }  // namespace

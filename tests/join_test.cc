@@ -321,18 +321,6 @@ TEST(GenericJoinTest, DuplicateTuplesBagSemantics) {
   EXPECT_TRUE(ResultsEqual(out, NestedLoopJoin(db, q), 1e-9));
 }
 
-TEST(GenericJoinTest, CallbackEarlyStop) {
-  TestInstance t = MakeTriangleInstance(40, 4, 5);
-  int count = 0;
-  GenericJoinOptions opt;
-  opt.materialize = false;
-  opt.on_result = [&count](const std::vector<Value>&, Weight) {
-    return ++count < 3;
-  };
-  (void)GenericJoin(t.db, t.query, opt, nullptr);
-  EXPECT_EQ(count, 3);
-}
-
 TEST(LeapfrogTest, MatchesOracleOnTriangles) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     TestInstance t = MakeTriangleInstance(30, 6, seed);

@@ -900,12 +900,13 @@ TEST(PlanCacheTest, HitMissInvalidateAndEvict) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
 
-  // Distinct execution options fingerprint differently; capacity 2
+  // Distinct forced algorithms fingerprint differently; capacity 2
   // evicts the least recently used of three.
   Insert(cache, key, t.db, *bumped, plan);
-  for (const size_t k : {4u, 9u}) {
+  for (const AnyKAlgorithm algorithm :
+       {AnyKAlgorithm::kPartEager, AnyKAlgorithm::kPartLazy}) {
     ExecutionOptions opts;
-    opts.k = k;
+    opts.force_algorithm = algorithm;
     Insert(cache, PlanFingerprint(t.db, t.query, {}, opts), t.db, *bumped,
            plan);
   }
@@ -1023,7 +1024,9 @@ TEST(ServingEngineTest, WarmOpenCursorSkipsPlanQuery) {
     ExpectSameCosts(got, want, "plan-cache stream");
   }
 
-  // A different ranking or k is a different plan request: both miss.
+  // A different ranking, or a k in another class (k = 3 streams with
+  // Take2, an unknown k with REC), is a different plan request: both
+  // miss.
   RankingSpec max_rank;
   max_rank.model = CostModelKind::kMax;
   ASSERT_TRUE(serving.OpenCursor(session, t.db, t.query, max_rank).ok());

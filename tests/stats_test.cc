@@ -7,7 +7,6 @@
 // skewed cyclic queries to demonstrably cheaper plans.
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,29 +185,15 @@ TEST(CardinalityEstimatorTest, EmptyRelationGivesZero) {
 // ---------------------------------------------- planner: AGM handling
 
 TEST(PlannerEstimateTest, AgmFailureBecomesUnknownNotTiny) {
-  // The old mapping turned an AgmBound error into estimated_output = 0,
-  // which ChooseTreeAlgorithm read as "k covers the whole (tiny) output"
-  // and used to justify batch-then-sort for any k > the any-k threshold.
+  // An AgmBound error must not become agm_bound = 0: the output clamp
+  // would turn that into estimated_output = 0 ("tiny output"), which
+  // admission control would under-price.
   QueryPlan plan;
   const double bound =
       ResolveAgmBound(StatusOr<double>(Status::Error("lp failed")), &plan);
   EXPECT_TRUE(std::isinf(bound));
   EXPECT_GT(bound, 0.0);
   EXPECT_NE(plan.rationale.find("AGM bound unavailable"), std::string::npos);
-
-  // With the unknown (infinite) estimate, a huge k must NOT pick batch.
-  ExecutionOptions opts;
-  opts.k = 1u << 22;
-  QueryPlan unknown_plan;
-  const AnyKAlgorithm algo = ChooseTreeAlgorithm(
-      opts, std::numeric_limits<double>::infinity(), &unknown_plan);
-  EXPECT_NE(algo, AnyKAlgorithm::kBatch);
-  EXPECT_NE(unknown_plan.rationale.find("unknown"), std::string::npos);
-
-  // Contrast: the buggy 0.0 mapping *would* have picked batch.
-  QueryPlan tiny_plan;
-  EXPECT_EQ(ChooseTreeAlgorithm(opts, 0.0, &tiny_plan),
-            AnyKAlgorithm::kBatch);
 
   // A successful bound passes through untouched, with no note.
   QueryPlan ok_plan;
@@ -252,9 +237,10 @@ TEST(PlannerEstimateTest, IntermediateEstimateFollowsStrategy) {
   const auto anyk = engine.Explain(t.db, t.query, {}, {});
   ASSERT_TRUE(anyk.ok());
   EXPECT_EQ(anyk.value().estimated_intermediate, 0.0);
-  // Batch pays for the whole output before sorting.
+  // Batch -- a forced baseline -- pays for the whole output before
+  // sorting.
   ExecutionOptions opts;
-  opts.k = 1u << 22;
+  opts.force_algorithm = AnyKAlgorithm::kBatch;
   const auto batch = engine.Explain(t.db, t.query, {}, opts);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch.value().strategy, PlanStrategy::kBatchSort);

@@ -10,9 +10,9 @@ frontier counters:
     the same lazily sorted T-DP (the `lazy` row), allowing 0.1% slack
     for counter rounding.
 
-Wall-clock TTL ratios (take2 vs lazy) are REPORTED but not gated:
-shared-runner timing is too noisy to fail a build on, so only the
-structural counters are hard gates.
+Wall-clock TTLs (take2 and lazy) are printed as two absolute times,
+neither compared nor gated: one run on a shared runner cannot tell them
+apart, so only the structural counters are hard gates.
 
 Usage: check_bench_e13.py path/to/BENCH_e13.json
 """
@@ -56,8 +56,10 @@ def main() -> None:
             k = max(take2["ttl_us"], key=lambda s: int(s))
             t2 = take2["ttl_us"][k]
             lz = lawler["ttl_us"][k]
-            if t2 > 0:
-                print(f"{name}: take2 TTL({k}) speedup vs lazy = {lz / t2:.2f}x")
+            # Absolute TTLs, not a ratio: one run cannot tell the two
+            # apart (repeat runs on one machine read 0.93-1.14x).
+            print(f"{name}: TTL({k}) take2 {t2 / 1e3:.1f} ms, "
+                  f"lazy {lz / 1e3:.1f} ms")
     if checked_pushes == 0:
         fail("no workload reported pushes_per_result")
     print("BENCH_e13 guard: all checks passed")
