@@ -45,9 +45,6 @@ Cursor::Cursor(std::unique_ptr<RankedIterator> pipeline, CursorOptions options)
       options_(options),
       cancel_state_(std::make_shared<CancelState>()) {
   TOPKJOIN_CHECK(pipeline_ != nullptr);
-  if (options_.deadline.has_value()) {
-    cancel_state_->SetDeadline(*options_.deadline);
-  }
 }
 
 Cursor::~Cursor() {
@@ -58,36 +55,31 @@ Cursor::~Cursor() {
   }
 }
 
-bool Cursor::CheckTermination(bool force_clock) {
-  // The cancel flag is one relaxed load per pull; the deadline clock is
-  // read only every kDeadlineSamplePeriod pulls (or when forced at a
-  // slice boundary), so a deadline-bearing cursor's pull stays as cheap
-  // as an undeadlined one.
-  if (cancel_state_->cancelled.load(std::memory_order_relaxed)) {
-    state_.store(CursorState::kCancelled, std::memory_order_relaxed);
-    return true;
-  }
-  const int64_t dl =
-      cancel_state_->deadline_ns.load(std::memory_order_relaxed);
-  if (dl == 0) return false;
-  if (!force_clock && --deadline_countdown_ != 0) return false;
-  deadline_countdown_ = kDeadlineSamplePeriod;
-  if (SteadyNowNs() >= dl) {
-    state_.store(CursorState::kDeadlineExceeded, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+bool Cursor::StopIfTerminated() {
+  // The deadline clock is read only every kDeadlineSamplePeriod pulls
+  // (or when PollTermination forces it), so a deadline-bearing
+  // cursor's pull stays as cheap as an undeadlined one.
+  const StatusCode code =
+      cancel_state_->Poll(&deadline_countdown_, kDeadlineSamplePeriod);
+  if (code == StatusCode::kOk) return false;
+  state_.store(code == StatusCode::kCancelled ? CursorState::kCancelled
+                                              : CursorState::kDeadlineExceeded,
+               std::memory_order_relaxed);
+  return true;
 }
 
 CursorState Cursor::PollTermination() {
-  if (state() == CursorState::kActive) CheckTermination(/*force_clock=*/true);
+  if (state() == CursorState::kActive) {
+    deadline_countdown_ = 1;  // force the clock read
+    StopIfTerminated();
+  }
   return state();
 }
 
 std::optional<RankedResult> Cursor::Next(size_t* units_charged) {
   if (units_charged != nullptr) *units_charged = 0;
   if (state() != CursorState::kActive) return std::nullopt;
-  if (CheckTermination(/*force_clock=*/false)) return std::nullopt;
+  if (StopIfTerminated()) return std::nullopt;
   if (options_.result_budget.has_value() &&
       results_emitted() >= *options_.result_budget) {
     state_.store(CursorState::kResultBudgetHit, std::memory_order_relaxed);

@@ -30,7 +30,6 @@
 #define TOPKJOIN_ENGINE_CURSOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -49,16 +48,14 @@ class DatabaseSnapshot;
 /// not to some other caller's cursor.
 using CursorId = uint64_t;
 
-/// Lifetime limits for one cursor. nullopt = unlimited.
+/// Lifetime limits for one cursor. nullopt = unlimited. The request's
+/// deadline is not a budget: it is ExecutionOptions::deadline, which
+/// Engine::OpenCursor arms on the cursor's cancel_state(); once it
+/// passes, the cursor terminates with kDeadlineExceeded at its next
+/// pull or slice boundary (ExtendBudgets cannot resurrect it).
 struct CursorOptions {
   std::optional<size_t> result_budget;
   std::optional<size_t> work_budget;
-  /// Absolute wall deadline for the whole request: planning,
-  /// preprocessing, and every subsequent slice. Once it passes, the
-  /// cursor terminates with kDeadlineExceeded at its next pull or
-  /// slice boundary (ExtendBudgets cannot resurrect it). Adopted from
-  /// ExecutionOptions::deadline when unset (Engine::OpenCursor).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
 enum class CursorState {
@@ -163,11 +160,10 @@ class Cursor {
   }
 
  private:
-  /// The per-pull termination check: cancel flag every call, deadline
-  /// clock on a countdown stride (`force_clock` = slice boundaries).
-  /// True when the cursor just became (or already was polled into) a
-  /// terminal cancelled/expired state.
-  bool CheckTermination(bool force_clock);
+  /// Polls cancel_state() (CancelState::Poll) and, when it reports a
+  /// stop, moves the cursor to kCancelled / kDeadlineExceeded. True
+  /// when it did.
+  bool StopIfTerminated();
 
   /// Pulls between deadline clock reads inside Next() -- the same
   /// sampling trick as InstrumentedIterator::kDelaySamplePeriod.

@@ -14,16 +14,10 @@ namespace topkjoin {
 
 namespace {
 
-// A cursor opened without an explicit result budget or deadline adopts
-// opts.k and opts.deadline.
+// A cursor opened without an explicit result budget adopts opts.k.
 CursorOptions ResolveCursorOptions(CursorOptions options,
                                    const ExecutionOptions& opts) {
-  if (!options.result_budget.has_value() && opts.k.has_value()) {
-    options.result_budget = opts.k;
-  }
-  if (!options.deadline.has_value() && opts.deadline.has_value()) {
-    options.deadline = opts.deadline;
-  }
+  if (!options.result_budget.has_value()) options.result_budget = opts.k;
   return options;
 }
 
@@ -37,10 +31,8 @@ Status ArmDeadline(
     CancelState* cancel) {
   if (!deadline.has_value()) return Status::Ok();
   cancel->SetDeadline(*deadline);
-  if (cancel->DeadlineExpired()) {
-    return Status::DeadlineExceeded("deadline passed before planning");
-  }
-  return Status::Ok();
+  uint32_t force_clock = 1;
+  return TerminationStatus(cancel->Poll(&force_clock, 1), "planning");
 }
 
 }  // namespace
@@ -172,15 +164,15 @@ StatusOr<std::unique_ptr<Cursor>> Engine::OpenCursor(
     const Database& db, const ConjunctiveQuery& query,
     const RankingSpec& ranking, const ExecutionOptions& opts,
     CursorOptions cursor_options) {
-  cursor_options = ResolveCursorOptions(cursor_options, opts);
-  // The cursor's deadline governs the open too; it is not part of the
-  // plan fingerprint, so the caches see the same request.
-  ExecutionOptions open_opts = opts;
-  open_opts.deadline = cursor_options.deadline;
-  auto result = Execute(db, query, ranking, open_opts);
+  auto result = Execute(db, query, ranking, opts);
   if (!result.ok()) return result.status();
-  auto cursor = std::make_unique<Cursor>(std::move(result.value().stream),
-                                         cursor_options);
+  auto cursor = std::make_unique<Cursor>(
+      std::move(result.value().stream),
+      ResolveCursorOptions(cursor_options, opts));
+  // The open's deadline keeps bounding every pull of the cursor.
+  if (opts.deadline.has_value()) {
+    cursor->cancel_state()->SetDeadline(*opts.deadline);
+  }
   cursor->set_trace(std::move(result.value().trace));
   cursor->set_snapshot(std::move(result.value().snapshot));
   return cursor;

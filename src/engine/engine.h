@@ -89,9 +89,10 @@ class Engine {
                               const ExecutionOptions& opts = {}) const;
 
   /// Execute, wrapped in a budgeted, resumable cursor the caller owns.
-  /// opts.k and opts.deadline fill the cursor's result budget and
-  /// deadline when it sets none; the resolved deadline is the one
-  /// Execute checks. The cursor carries the trace and pinned snapshot.
+  /// opts.k fills the cursor's result budget when it sets none.
+  /// opts.deadline, which Execute checks, is armed on the cursor too,
+  /// so it bounds every later pull. The cursor carries the trace and
+  /// pinned snapshot.
   StatusOr<std::unique_ptr<Cursor>> OpenCursor(
       const Database& db, const ConjunctiveQuery& query,
       const RankingSpec& ranking = {}, const ExecutionOptions& opts = {},

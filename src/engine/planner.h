@@ -53,10 +53,11 @@ struct ExecutionOptions {
   /// not affect the chosen plan (and is deliberately excluded from the
   /// plan-cache fingerprint).
   bool collect_trace = false;
-  /// Absolute wall deadline for the whole request. Planning and
+  /// The request's one absolute wall deadline. Planning and
   /// preprocessing poll it cooperatively (ExecContext) and abort with
-  /// kDeadlineExceeded mid-build instead of finishing doomed work;
-  /// cursors adopt it as CursorOptions::deadline when that is unset.
+  /// kDeadlineExceeded mid-build instead of finishing doomed work; a
+  /// cursor opened with it stops with kDeadlineExceeded at the first
+  /// pull or slice boundary past it.
   /// Excluded from the plan-cache fingerprint, like collect_trace.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };

@@ -12,47 +12,39 @@ namespace topkjoin {
 
 namespace {
 
-// Per-atom state: the atom's variables reordered to agree with the
-// global variable order, plus hash indexes on every column prefix in
+// Per-atom state: the atom's variables in ascending VarId order (the
+// global variable order), plus hash indexes on every column prefix in
 // that local order. Index 0 (empty prefix) is represented by the whole
 // relation.
 struct AtomState {
   const Relation* rel = nullptr;
-  std::vector<VarId> local_vars;     // atom vars sorted by global position
+  std::vector<VarId> local_vars;     // atom vars, ascending
   std::vector<size_t> local_cols;    // local_vars[i] lives in rel column
   std::vector<std::unique_ptr<HashIndex>> prefix_index;  // [1..arity]
 };
 
+// Binds variables in ascending VarId order. In boolean mode it stops
+// at the first result and materializes nothing.
 class Engine {
  public:
   Engine(const Database& db, const ConjunctiveQuery& query,
-         const GenericJoinOptions& options, JoinStats* stats)
-      : db_(db), query_(query), options_(options), stats_(stats) {
-    var_order_ = options.var_order;
-    if (var_order_.empty()) {
-      var_order_.resize(static_cast<size_t>(query.num_vars()));
-      std::iota(var_order_.begin(), var_order_.end(), 0);
-    }
-    TOPKJOIN_CHECK(var_order_.size() ==
-                   static_cast<size_t>(query.num_vars()));
-    position_of_var_.assign(var_order_.size(), 0);
-    for (size_t i = 0; i < var_order_.size(); ++i) {
-      position_of_var_[static_cast<size_t>(var_order_[i])] = i;
-    }
+         bool boolean_mode, JoinStats* stats)
+      : db_(db),
+        query_(query),
+        boolean_mode_(boolean_mode),
+        stats_(stats),
+        output_(MakeResultRelation(query, "generic_join_result")),
+        assignment_(static_cast<size_t>(query.num_vars()), 0) {
     BuildAtomStates();
   }
 
-  GenericJoinResult Run() {
-    GenericJoinResult result;
-    result.output = MakeResultRelation(query_, "generic_join_result");
-    output_ = &result.output;
-    assignment_.assign(var_order_.size(), 0);
-    stop_ = false;
-    found_any_ = false;
+  /// Runs the join; true when it found any result.
+  bool Run() {
     Extend(0, 0.0);
-    result.found_any = found_any_;
-    return result;
+    return found_any_;
   }
+
+  Relation& output() { return output_; }
 
  private:
   void BuildAtomStates() {
@@ -61,12 +53,11 @@ class Engine {
       AtomState& st = atoms_[i];
       const Atom& atom = query_.atom(i);
       st.rel = &db_.relation(atom.relation);
-      // Local order: atom variables sorted by global position.
+      // Local order: atom variables in ascending VarId order.
       std::vector<size_t> cols(atom.vars.size());
       std::iota(cols.begin(), cols.end(), 0);
       std::sort(cols.begin(), cols.end(), [&](size_t a, size_t b) {
-        return position_of_var_[static_cast<size_t>(atom.vars[a])] <
-               position_of_var_[static_cast<size_t>(atom.vars[b])];
+        return atom.vars[a] < atom.vars[b];
       });
       for (size_t c : cols) {
         st.local_vars.push_back(atom.vars[c]);
@@ -100,26 +91,20 @@ class Engine {
     return a.prefix_index[depth - 1]->Probe(key_buffer_);
   }
 
-  // Number of this atom's local vars already bound at global position
-  // `pos` (vars strictly before pos in the global order).
-  static size_t BoundDepth(const AtomState& a,
-                           const std::vector<size_t>& position_of_var,
-                           size_t pos) {
+  // Number of this atom's local vars already bound when variable `v`
+  // is next (the vars below v).
+  static size_t BoundDepth(const AtomState& a, VarId v) {
     size_t d = 0;
-    while (d < a.local_vars.size() &&
-           position_of_var[static_cast<size_t>(a.local_vars[d])] < pos) {
-      ++d;
-    }
+    while (d < a.local_vars.size() && a.local_vars[d] < v) ++d;
     return d;
   }
 
-  void Extend(size_t pos, Weight weight_so_far) {
+  void Extend(VarId v, Weight weight_so_far) {
     if (stop_) return;
-    if (pos == var_order_.size()) {
+    if (v == query_.num_vars()) {
       EmitLeaf(weight_so_far);
       return;
     }
-    const VarId v = var_order_[pos];
 
     // Atoms containing v, with their candidate row sets under the bound
     // prefix. Pick the atom with the fewest candidates to drive the
@@ -130,7 +115,7 @@ class Engine {
     std::vector<size_t> checkers;
     for (size_t i = 0; i < atoms_.size(); ++i) {
       const AtomState& a = atoms_[i];
-      const size_t d = BoundDepth(a, position_of_var_, pos);
+      const size_t d = BoundDepth(a, v);
       if (d >= a.local_vars.size() || a.local_vars[d] != v) continue;
       const size_t count = MatchingRows(a, d).size();
       if (count < driver_count) {
@@ -149,7 +134,7 @@ class Engine {
 
     // Distinct candidate values of v from the driver.
     const AtomState& drv = atoms_[driver];
-    const size_t drv_depth = BoundDepth(drv, position_of_var_, pos);
+    const size_t drv_depth = BoundDepth(drv, v);
     const size_t v_col = drv.local_cols[drv_depth];
     candidate_values_.clear();
     for (RowId r : MatchingRows(drv, drv_depth)) {
@@ -167,7 +152,7 @@ class Engine {
       bool ok = true;
       for (size_t i : checkers) {
         const AtomState& a = atoms_[i];
-        const size_t d = BoundDepth(a, position_of_var_, pos);
+        const size_t d = BoundDepth(a, v);
         TOPKJOIN_DCHECK(a.local_vars[d] == v);
         // Probe the (prefix + v) index for existence.
         key_buffer_.clear();
@@ -182,7 +167,7 @@ class Engine {
           break;
         }
       }
-      if (ok) Extend(pos + 1, weight_so_far);
+      if (ok) Extend(v + 1, weight_so_far);
       if (stop_) return;
     }
   }
@@ -210,10 +195,10 @@ class Engine {
     if (atom_idx == atoms_.size()) {
       found_any_ = true;
       if (stats_ != nullptr) ++stats_->output_tuples;
-      if (options_.boolean_mode) {
+      if (boolean_mode_) {
         stop_ = true;
       } else {
-        output_->AddTuple(assignment_, weight);
+        output_.AddTuple(assignment_, weight);
       }
       return;
     }
@@ -226,42 +211,31 @@ class Engine {
 
   const Database& db_;
   const ConjunctiveQuery& query_;
-  const GenericJoinOptions& options_;
+  const bool boolean_mode_;
   JoinStats* stats_;
-  std::vector<VarId> var_order_;
-  std::vector<size_t> position_of_var_;
+  Relation output_;
   std::vector<AtomState> atoms_;
   std::vector<Value> assignment_;
   std::vector<Value> candidate_values_;
   std::vector<Value> key_buffer_;
   std::vector<RowId> all_rows_buffer_;
   std::vector<std::vector<RowId>> leaf_rows_;
-  Relation* output_ = nullptr;
   bool stop_ = false;
   bool found_any_ = false;
 };
 
 }  // namespace
 
-GenericJoinResult GenericJoin(const Database& db,
-                              const ConjunctiveQuery& query,
-                              const GenericJoinOptions& options,
-                              JoinStats* stats) {
-  Engine engine(db, query, options, stats);
-  return engine.Run();
-}
-
 Relation GenericJoinAll(const Database& db, const ConjunctiveQuery& query,
                         JoinStats* stats) {
-  GenericJoinOptions options;
-  return GenericJoin(db, query, options, stats).output;
+  Engine engine(db, query, /*boolean_mode=*/false, stats);
+  engine.Run();
+  return std::move(engine.output());
 }
 
 bool GenericJoinBoolean(const Database& db, const ConjunctiveQuery& query,
                         JoinStats* stats) {
-  GenericJoinOptions options;
-  options.boolean_mode = true;
-  return GenericJoin(db, query, options, stats).found_any;
+  return Engine(db, query, /*boolean_mode=*/true, stats).Run();
 }
 
 }  // namespace topkjoin

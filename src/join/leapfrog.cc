@@ -18,64 +18,57 @@ struct AtomTrie {
   std::vector<VarId> local_vars;  // trie level -> variable
 };
 
+// Binds variables in ascending VarId order. In boolean mode it stops
+// at the first result and materializes nothing.
 class Engine {
  public:
   Engine(const Database& db, const ConjunctiveQuery& query,
-         const LeapfrogOptions& options, JoinStats* stats)
-      : query_(query), options_(options), stats_(stats) {
-    var_order_ = options.var_order;
-    if (var_order_.empty()) {
-      var_order_.resize(static_cast<size_t>(query.num_vars()));
-      std::iota(var_order_.begin(), var_order_.end(), 0);
-    }
-    std::vector<size_t> position_of_var(var_order_.size());
-    for (size_t i = 0; i < var_order_.size(); ++i) {
-      position_of_var[static_cast<size_t>(var_order_[i])] = i;
-    }
+         bool boolean_mode, JoinStats* stats)
+      : boolean_mode_(boolean_mode),
+        stats_(stats),
+        output_(MakeResultRelation(query, "leapfrog_result")),
+        assignment_(static_cast<size_t>(query.num_vars()), 0) {
     atoms_.resize(query.NumAtoms());
     for (size_t i = 0; i < query.NumAtoms(); ++i) {
       const Atom& atom = query.atom(i);
       const Relation& rel = db.relation(atom.relation);
-      // Column order sorted by global variable position.
+      // Column order: ascending VarId.
       std::vector<size_t> cols(atom.vars.size());
       std::iota(cols.begin(), cols.end(), 0);
       std::sort(cols.begin(), cols.end(), [&](size_t a, size_t b) {
-        return position_of_var[static_cast<size_t>(atom.vars[a])] <
-               position_of_var[static_cast<size_t>(atom.vars[b])];
+        return atom.vars[a] < atom.vars[b];
       });
       for (size_t c : cols) atoms_[i].local_vars.push_back(atom.vars[c]);
       atoms_[i].trie = std::make_unique<SortedTrie>(rel, cols);
       atoms_[i].iter = std::make_unique<TrieIterator>(*atoms_[i].trie);
     }
-    // For each variable position, the atoms whose tries participate.
-    participants_.resize(var_order_.size());
+    // For each variable, the atoms whose tries participate.
+    participants_.resize(assignment_.size());
     for (size_t i = 0; i < atoms_.size(); ++i) {
-      for (size_t d = 0; d < atoms_[i].local_vars.size(); ++d) {
-        const VarId v = atoms_[i].local_vars[d];
-        participants_[position_of_var[static_cast<size_t>(v)]].push_back(i);
+      for (const VarId v : atoms_[i].local_vars) {
+        participants_[static_cast<size_t>(v)].push_back(i);
       }
     }
   }
 
-  LeapfrogResult Run() {
-    LeapfrogResult result;
-    result.output = MakeResultRelation(query_, "leapfrog_result");
-    output_ = &result.output;
-    assignment_.assign(var_order_.size(), 0);
-    stop_ = false;
-    found_any_ = false;
+  /// Runs the join; true when it found any result.
+  bool Run() {
     Descend(0, 0.0);
-    result.found_any = found_any_;
-    for (const AtomTrie& a : atoms_) result.seeks += a.iter->num_seeks();
-    if (stats_ != nullptr) stats_->comparisons += result.seeks;
-    return result;
+    if (stats_ != nullptr) {
+      for (const AtomTrie& a : atoms_) {
+        stats_->comparisons += a.iter->num_seeks();
+      }
+    }
+    return found_any_;
   }
 
+  Relation& output() { return output_; }
+
  private:
-  // Leapfrog intersection at variable position `pos`, then recurse.
+  // Leapfrog intersection at variable `pos`, then recurse.
   void Descend(size_t pos, Weight weight_so_far) {
     if (stop_) return;
-    if (pos == var_order_.size()) {
+    if (pos == assignment_.size()) {
       EmitLeaf(weight_so_far);
       return;
     }
@@ -97,7 +90,7 @@ class Engine {
         max_key = std::max(max_key, k);
       }
       if (all_equal) {
-        assignment_[static_cast<size_t>(var_order_[pos])] = max_key;
+        assignment_[pos] = max_key;
         Descend(pos + 1, weight_so_far);
         if (stop_) break;
         // Advance one iterator past the match to continue.
@@ -139,10 +132,10 @@ class Engine {
     if (atom_idx == atoms_.size()) {
       found_any_ = true;
       if (stats_ != nullptr) ++stats_->output_tuples;
-      if (options_.boolean_mode) {
+      if (boolean_mode_) {
         stop_ = true;
       } else {
-        output_->AddTuple(assignment_, weight);
+        output_.AddTuple(assignment_, weight);
       }
       return;
     }
@@ -153,40 +146,29 @@ class Engine {
     }
   }
 
-  const ConjunctiveQuery& query_;
-  const LeapfrogOptions& options_;
+  const bool boolean_mode_;
   JoinStats* stats_;
-  std::vector<VarId> var_order_;
+  Relation output_;
+  std::vector<Value> assignment_;  // indexed by VarId
   std::vector<AtomTrie> atoms_;
   std::vector<std::vector<size_t>> participants_;
-  std::vector<Value> assignment_;
   std::vector<std::vector<RowId>> leaf_rows_;
-  Relation* output_ = nullptr;
   bool stop_ = false;
   bool found_any_ = false;
 };
 
 }  // namespace
 
-LeapfrogResult LeapfrogTriejoin(const Database& db,
-                                const ConjunctiveQuery& query,
-                                const LeapfrogOptions& options,
-                                JoinStats* stats) {
-  Engine engine(db, query, options, stats);
-  return engine.Run();
-}
-
 Relation LeapfrogJoinAll(const Database& db, const ConjunctiveQuery& query,
                          JoinStats* stats) {
-  LeapfrogOptions options;
-  return LeapfrogTriejoin(db, query, options, stats).output;
+  Engine engine(db, query, /*boolean_mode=*/false, stats);
+  engine.Run();
+  return std::move(engine.output());
 }
 
 bool LeapfrogBoolean(const Database& db, const ConjunctiveQuery& query,
                      JoinStats* stats) {
-  LeapfrogOptions options;
-  options.boolean_mode = true;
-  return LeapfrogTriejoin(db, query, options, stats).found_any;
+  return Engine(db, query, /*boolean_mode=*/true, stats).Run();
 }
 
 }  // namespace topkjoin

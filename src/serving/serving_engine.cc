@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/cancellation.h"
 #include "src/util/common.h"
 #include "src/util/failpoint.h"
 
@@ -225,13 +226,9 @@ StatusOr<CursorId> ServingEngine::OpenCursor(SessionId session_id,
   if (options_.overload_policy.max_predicted_work > 0.0) {
     // Plan first and shed a too-heavy request before any preprocessing.
     // Explain reads through the Engine's plan cache, so the open below
-    // does not plan again; the cursor's deadline, when set, governs
-    // planning here as it governs the open.
-    ExecutionOptions plan_opts = opts;
-    if (cursor_options.deadline.has_value()) {
-      plan_opts.deadline = cursor_options.deadline;
-    }
-    auto plan = engine_.Explain(db, query, ranking, plan_opts);
+    // does not plan again; opts.deadline governs planning here as it
+    // governs the open.
+    auto plan = engine_.Explain(db, query, ranking, opts);
     if (!plan.ok()) return plan.status();
     if (Status admitted = CheckPredictedWorkAdmission(plan.value(), opts);
         !admitted.ok()) {
@@ -317,14 +314,13 @@ StatusOr<FetchOutcome> ServingEngine::FetchSlice(
         // returns ok with the results pulled before the trip and the
         // terminal cursor_state -- the stream is never torn.
         const CursorState at_entry = cursor.PollTermination();
-        if (at_entry == CursorState::kCancelled) {
-          typed_error = Status::Cancelled("cursor " + std::to_string(id) +
-                                          " was cancelled");
-          return;
-        }
-        if (at_entry == CursorState::kDeadlineExceeded) {
-          typed_error = Status::DeadlineExceeded(
-              "cursor " + std::to_string(id) + " exceeded its deadline");
+        if (at_entry == CursorState::kCancelled ||
+            at_entry == CursorState::kDeadlineExceeded) {
+          typed_error = TerminationStatus(
+              at_entry == CursorState::kCancelled
+                  ? StatusCode::kCancelled
+                  : StatusCode::kDeadlineExceeded,
+              "cursor " + std::to_string(id));
           return;
         }
         out.cursor_state = at_entry;

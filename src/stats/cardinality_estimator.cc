@@ -13,6 +13,19 @@ namespace topkjoin {
 
 namespace {
 
+// Maximum sampled tuples per relation. Larger samples tighten the
+// envelope on sparse joins at linear memory/estimation cost; 256 keeps
+// a per-database build cheap relative to join preprocessing.
+constexpr size_t kSampleSize = 256;
+// Exploration budget (index probes) per sample-join estimate; when
+// exhausted the partial count is extrapolated from the fraction of
+// anchor rows processed. 20000 keeps an estimate well under the cost
+// of the join's own preprocessing while staying inside the 10x
+// accuracy envelope (tests/stats_test.cc).
+constexpr int64_t kWorkLimit = 20000;
+// Seed for the per-relation reservoir draws.
+constexpr uint64_t kSampleSeed = 0x7061706572;
+
 /// One atom's role in the sample join: probe its sample by the columns
 /// whose variables earlier atoms already bound, bind the rest.
 struct JoinStep {
@@ -24,9 +37,7 @@ struct JoinStep {
 
 }  // namespace
 
-CardinalityEstimator::CardinalityEstimator(const Database& db,
-                                           EstimatorOptions options)
-    : db_(&db), options_(options) {
+CardinalityEstimator::CardinalityEstimator(const Database& db) : db_(&db) {
   // Sampling every relation is the cost the estimator caches exist to
   // amortize; exporting it makes double-builds visible in the planner
   // metrics.
@@ -37,8 +48,8 @@ CardinalityEstimator::CardinalityEstimator(const Database& db,
   for (RelationId id = 0; id < db.NumRelations(); ++id) {
     // Per-relation seed: reproducible independently of catalog order
     // changes elsewhere.
-    samples_.emplace_back(db.relation(id), options_.sample_size,
-                          HashMix(options_.seed, id));
+    samples_.emplace_back(db.relation(id), kSampleSize,
+                          HashMix(kSampleSeed, id));
   }
 }
 
@@ -168,7 +179,7 @@ double CardinalityEstimator::EstimateJoinSize(
   for (size_t p = 0; p < steps.size(); ++p) {
     probe_keys[p].values.resize(steps[p].bound_cols.size());
   }
-  int64_t budget = static_cast<int64_t>(options_.work_limit);
+  int64_t budget = kWorkLimit;
   double matches = 0.0;
   std::function<void(size_t)> descend = [&](size_t p) {
     if (p == steps.size()) {

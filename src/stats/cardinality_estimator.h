@@ -22,8 +22,8 @@
 // All estimates are in RAM-model units compatible with JoinStats --
 // tuples materialized or emitted -- so the planner can compare them
 // directly against measured preprocessing costs. Estimates are
-// deterministic for a fixed (database contents, options.seed) pair;
-// the planner relies on that for reproducible plans.
+// deterministic for fixed database contents (the sample seed is a
+// constant); the planner relies on that for reproducible plans.
 //
 // The estimator borrows the Database (no copies): build one per
 // database version and reuse it across queries; it must not outlive
@@ -41,23 +41,6 @@
 
 namespace topkjoin {
 
-struct EstimatorOptions {
-  /// Maximum sampled tuples per relation. Larger samples tighten the
-  /// envelope on sparse joins at linear memory/estimation cost; the
-  /// default keeps a transient per-plan build cheap relative to join
-  /// preprocessing (see bench_e10).
-  size_t sample_size = 256;
-  /// Exploration budget (index probes) per sample-join estimate; when
-  /// exhausted the partial count is extrapolated from the fraction of
-  /// anchor rows processed. The default keeps a transient per-plan
-  /// estimate well under the cost of the join's own preprocessing while
-  /// staying inside the 10x accuracy envelope (tests/stats_test.cc);
-  /// raise it for offline/high-precision estimation.
-  size_t work_limit = 20000;
-  /// Seed for the per-relation reservoir draws.
-  uint64_t seed = 0x7061706572;
-};
-
 /// RAM-model cost estimate for a decomposition, in JoinStats units.
 struct DecompositionEstimate {
   /// Estimated tuples across all materialized bags (JoinStats would
@@ -72,9 +55,8 @@ struct DecompositionEstimate {
 class CardinalityEstimator {
  public:
   /// Samples every relation of `db` once (O(total tuples) scan, then
-  /// O(sample_size) memory per relation).
-  explicit CardinalityEstimator(const Database& db,
-                                EstimatorOptions options = {});
+  /// at most 256 sampled tuples per relation).
+  explicit CardinalityEstimator(const Database& db);
 
   /// Incremental maintenance for live updates: retargets this estimator
   /// at `db`, which must hold the same relation catalog with rows only
@@ -85,7 +67,6 @@ class CardinalityEstimator {
   void RetargetAndExtend(const Database& db);
 
   const Database& db() const { return *db_; }
-  const EstimatorOptions& options() const { return options_; }
   const RelationSample& sample(RelationId id) const { return samples_[id]; }
 
   /// Estimated number of tuples in the natural join of the given atoms
@@ -120,7 +101,6 @@ class CardinalityEstimator {
                               const std::vector<size_t>& atoms) const;
 
   const Database* db_;
-  EstimatorOptions options_;
   std::vector<RelationSample> samples_;  // aligned with db relation ids
 };
 

@@ -5,17 +5,23 @@
 //   * CancelState -- one atomic cancellation flag + absolute deadline,
 //     shared between the thread doing the work and any thread that
 //     wants to stop it (ServingEngine::CancelCursor flips the flag of
-//     an in-flight cursor without taking its slice mutex).
+//     an in-flight cursor without taking its slice mutex). Its Poll()
+//     is the one termination check in the tree: the cancel flag on
+//     every call, the deadline clock only every `stride` calls
+//     (mirroring InstrumentedIterator's countdown trick), so even
+//     per-row and per-pull checks stay off the profile.
+//     TerminationStatus() is the one mapping from its result to a
+//     typed Status.
 //
 //   * ExecContext -- a thread-local scope that makes the *current*
 //     CancelState visible to deep preprocessing loops (T-DP build, bag
 //     materialization, batch drain) without threading a parameter
 //     through every template layer. The loops call
 //     ExecContext::ShouldAbort(), which costs a thread-local load and
-//     a null check when no scope is installed -- the common case -- and
-//     samples the deadline clock only every kClockStride checks
-//     (mirroring InstrumentedIterator's countdown trick), so even
-//     per-row checks stay off the profile.
+//     a null check when no scope is installed -- the common case.
+//
+// A request has one deadline, ExecutionOptions::deadline; the engine
+// arms it on the open's CancelState and on the cursor's (engine.cc).
 //
 // The protocol is cooperative: a loop that observes ShouldAbort()
 // breaks out, leaving its partial state behind; the phase owner
@@ -28,6 +34,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "src/util/status.h"
 
@@ -60,12 +68,39 @@ struct CancelState {
   void SetDeadline(std::chrono::steady_clock::time_point tp) {
     deadline_ns.store(SteadyPointNs(tp), std::memory_order_release);
   }
-  /// True when a deadline is set and has passed (reads the clock).
-  bool DeadlineExpired() const {
-    const int64_t dl = deadline_ns.load(std::memory_order_acquire);
-    return dl != 0 && SteadyNowNs() >= dl;
+
+  /// The termination poll: kCancelled once the flag is set, else
+  /// kDeadlineExceeded once a set deadline has passed, else kOk. The
+  /// flag is one relaxed load per call; the clock is read only when
+  /// the caller-owned `*countdown` runs out, which restarts it at
+  /// `stride` -- so a countdown of 1 forces a read. Without a deadline
+  /// the countdown is left alone.
+  StatusCode Poll(uint32_t* countdown, uint32_t stride) const {
+    if (cancelled.load(std::memory_order_relaxed)) {
+      return StatusCode::kCancelled;
+    }
+    const int64_t dl = deadline_ns.load(std::memory_order_relaxed);
+    if (dl == 0 || --*countdown != 0) return StatusCode::kOk;
+    *countdown = stride;
+    return SteadyNowNs() >= dl ? StatusCode::kDeadlineExceeded
+                               : StatusCode::kOk;
   }
 };
+
+/// A Poll() result as a typed Status naming `what` (the phase or
+/// cursor that stopped); Ok for any code but kCancelled and
+/// kDeadlineExceeded.
+inline Status TerminationStatus(StatusCode code, std::string_view what) {
+  switch (code) {
+    case StatusCode::kCancelled:
+      return Status::Cancelled(std::string(what) + " was cancelled");
+    case StatusCode::kDeadlineExceeded:
+      return Status::DeadlineExceeded(std::string(what) +
+                                      " exceeded its deadline");
+    default:
+      return Status::Ok();
+  }
+}
 
 /// Thread-local cancellation scope for preprocessing phases. Install a
 /// Scope around a build (OpenCursor / Execute do); the build's inner
@@ -114,20 +149,10 @@ class ExecContext {
     if (t.state == nullptr) [[likely]] {
       return false;
     }
-    if (t.code != StatusCode::kOk) return true;  // sticky
-    if (t.state->cancelled.load(std::memory_order_relaxed)) {
-      t.code = StatusCode::kCancelled;
-      return true;
+    if (t.code == StatusCode::kOk) {
+      t.code = t.state->Poll(&t.countdown, kClockStride);
     }
-    const int64_t dl = t.state->deadline_ns.load(std::memory_order_relaxed);
-    if (dl == 0) return false;
-    if (--t.countdown != 0) return false;
-    t.countdown = kClockStride;
-    if (SteadyNowNs() >= dl) {
-      t.code = StatusCode::kDeadlineExceeded;
-      return true;
-    }
-    return false;
+    return t.code != StatusCode::kOk;
   }
 
   /// Why the current scope aborted (kOk when it has not). Note the
@@ -138,16 +163,8 @@ class ExecContext {
 
   /// abort_code() as a typed Status; Ok when the scope has not aborted.
   /// `what` names the phase for the error message.
-  static Status AbortStatus(const char* what) {
-    switch (abort_code()) {
-      case StatusCode::kCancelled:
-        return Status::Cancelled(std::string(what) + " cancelled");
-      case StatusCode::kDeadlineExceeded:
-        return Status::DeadlineExceeded(std::string(what) +
-                                        " exceeded its deadline");
-      default:
-        return Status::Ok();
-    }
+  static Status AbortStatus(std::string_view what) {
+    return TerminationStatus(abort_code(), what);
   }
 };
 

@@ -287,16 +287,6 @@ TEST(GenericJoinTest, MatchesOracleOnPathsAndStars) {
   }
 }
 
-TEST(GenericJoinTest, VariableOrderDoesNotChangeResult) {
-  TestInstance t = MakeTriangleInstance(25, 5, 42);
-  GenericJoinOptions opt1, opt2;
-  opt1.var_order = {0, 1, 2};
-  opt2.var_order = {2, 0, 1};
-  const auto r1 = GenericJoin(t.db, t.query, opt1, nullptr);
-  const auto r2 = GenericJoin(t.db, t.query, opt2, nullptr);
-  EXPECT_TRUE(ResultsEqual(r1.output, r2.output, 1e-9));
-}
-
 TEST(GenericJoinTest, BooleanEarlyExit) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     TestInstance t = MakeTriangleInstance(15, 4, seed);

@@ -183,16 +183,16 @@ TEST(EngineDeadlineTest, ExpiredDeadlineFailsBeforePlanning) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-// The cursor's own deadline is resolved before planning too: an
+// A cursor open is bound by the request's deadline from the start: an
 // already expired one fails the open without planning or building.
 TEST(EngineDeadlineTest, ExpiredCursorDeadlineFailsBeforePlanning) {
   Instance t = MakePathInstance(2, 30, 10, 3);
   Engine engine;
   Counter* tdp_builds = MetricsRegistry::Global().GetCounter("tdp.builds");
   const int64_t builds_before = tdp_builds->value();
-  CursorOptions cursor_options;
-  cursor_options.deadline = PastDeadline();
-  auto opened = engine.OpenCursor(t.db, t.query, {}, {}, cursor_options);
+  ExecutionOptions opts;
+  opts.deadline = PastDeadline();
+  auto opened = engine.OpenCursor(t.db, t.query, {}, opts);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(tdp_builds->value(), builds_before);
@@ -341,6 +341,24 @@ TEST(LoadSheddingTest, PredictedWorkShedCarriesEstimate) {
   EXPECT_GT(shed.status().work_estimate(), 0.001);
   EXPECT_EQ(engine.NumRequestsShed(), 1u);
   EXPECT_EQ(engine.NumArtifactsBuilt(), 0u);  // shed before preprocessing
+}
+
+// The admission Explain runs under the request's deadline: an expired
+// one fails before any planning or preprocessing.
+TEST(LoadSheddingTest, ExpiredDeadlineFailsAdmissionPlanning) {
+  ServingOptions options = InlineOptions();
+  options.overload_policy.max_predicted_work = 1e12;
+  ServingEngine engine(options);
+  Instance t = MakePathInstance(3, 100, 20, 9);
+  const SessionId session = engine.OpenSession();
+  ExecutionOptions opts;
+  opts.deadline = PastDeadline();
+  auto opened = engine.OpenCursor(session, t.db, t.query, {}, opts);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(engine.NumPlansComputed(), 0u);
+  EXPECT_EQ(engine.NumArtifactsBuilt(), 0u);
+  EXPECT_EQ(engine.NumRequestsShed(), 0u);
 }
 
 TEST(LoadSheddingTest, UnlimitedPolicyNeverSheds) {

@@ -112,9 +112,7 @@ TEST(CardinalityEstimatorTest, ExactOnFullySampledInstances) {
 
 TEST(CardinalityEstimatorTest, WithinEnvelopeOnSubsampledUniform) {
   Instance t = MakePathInstance(2, 3000, 40, 11);
-  EstimatorOptions options;
-  options.sample_size = 256;
-  const CardinalityEstimator est(t.db, options);
+  const CardinalityEstimator est(t.db);
   const double truth = TrueOutput(t.db, t.query);
   ASSERT_GT(truth, 0.0);
   EXPECT_LE(ErrorFactor(est.EstimateOutput(t.query), truth), 10.0);
@@ -141,9 +139,7 @@ TEST(CardinalityEstimatorTest, ZipfSkewWhereAgmIsOffByOrdersOfMagnitude) {
   EXPECT_GE(agm.value() / truth, 100.0)
       << "workload no longer exercises the loose-AGM regime";
 
-  EstimatorOptions options;
-  options.sample_size = 512;
-  const CardinalityEstimator est(db, options);
+  const CardinalityEstimator est(db);
   EXPECT_LE(ErrorFactor(est.EstimateOutput(q), truth), 10.0)
       << "estimate=" << est.EstimateOutput(q) << " truth=" << truth
       << " agm=" << agm.value();
@@ -153,7 +149,7 @@ TEST(CardinalityEstimatorTest, EdgeSelectivityRecoversPairJoinSize) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Instance t = MakeTriangleInstance(60, 6, seed);
     const CardinalityEstimator est(t.db);  // fully sampled
-    for (const auto [i, j] : {std::pair<size_t, size_t>{0, 1},
+    for (const auto& [i, j] : {std::pair<size_t, size_t>{0, 1},
                               std::pair<size_t, size_t>{1, 2},
                               std::pair<size_t, size_t>{0, 2}}) {
       ConjunctiveQuery pair;

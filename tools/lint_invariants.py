@@ -36,6 +36,14 @@ Rules (each violation prints as `path:line: [rule-id] message`):
                   `SAFETY:` comment explaining why the suppression is
                   sound. A bare suppression is an unreviewed hole in the
                   lock discipline.
+
+  termination-poll
+                  Production code (src/) must not read CancelState's
+                  `cancelled` flag or `deadline_ns` outside
+                  src/util/cancellation.h. CancelState::Poll is the one
+                  cancel/deadline check (and TerminationStatus the one
+                  mapping to a Status); a second hand-rolled poll drifts
+                  from it.
 """
 
 import argparse
@@ -59,6 +67,10 @@ BANNED_SYNC = [
 ]
 
 SLEEP_RE = re.compile(r"\bsleep_for\b|\bsleep_until\b|\busleep\s*\(|\bnanosleep\s*\(")
+
+# A member access to CancelState's flag or deadline (`x.cancelled`,
+# `x->deadline_ns`).
+TERMINATION_FIELD_RE = re.compile(r"(?:\.|->)\s*(cancelled|deadline_ns)\b")
 
 # How far back (in lines) a kFailpointsEnabled gate or a SAFETY: rationale
 # may sit from the line it covers.
@@ -225,6 +237,18 @@ class Linter:
                     "`SAFETY:` comment explaining why the suppression "
                     "is sound")
 
+    def check_termination_poll(self, path, code_lines):
+        rel = os.path.relpath(path, self.root)
+        if rel == os.path.join("src", "util", "cancellation.h"):
+            return  # the definition site
+        for i, line in enumerate(code_lines, 1):
+            m = TERMINATION_FIELD_RE.search(line)
+            if m:
+                self.report(
+                    path, i, "termination-poll",
+                    f"reads CancelState::{m.group(1)} directly; poll "
+                    "through CancelState::Poll (src/util/cancellation.h)")
+
     # ----------------------------------------------------------- run
 
     def lint_file(self, path):
@@ -243,6 +267,7 @@ class Linter:
             self.check_no_test_sleep(path, code_lines)
         if in_src:
             self.check_failpoint_gate(path, code_lines)
+            self.check_termination_poll(path, code_lines)
         if path.endswith(".h"):
             self.check_include_guard(path, raw_lines)
         self.check_include_paths(path, raw_lines)
@@ -276,6 +301,7 @@ def self_test(repo_root):
         (j("src", "anyk", "bad_include.h"), "include-path"),
         (j("src", "serving", "bad_suppress.h"), "tsa-suppress"),
         (j("src", "serving", "bad_failpoint.cc"), "failpoint-gate"),
+        (j("src", "engine", "bad_poll.cc"), "termination-poll"),
     }
     clean = {j("src", "anyk", "good.h")}
 
